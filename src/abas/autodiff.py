@@ -6,7 +6,8 @@ pass is a single reverse sweep. Tensors are 2-D (channels x length) signal
 maps; Parameters may hold any shape (conv weights are 3-D, biases 1-D).
 
 Running ops on tape-less Tensors (``Tensor(data)``) skips recording entirely,
-which is the inference / frozen-forward mode.
+which is the inference / frozen-forward mode. Non-finite values are located
+after the fact: ``Tape.first_nonfinite`` names the earliest op that made one.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-# When set, every op asserts its output is finite (slow; for debugging runs).
-DEBUG_FINITE = False
-
 
 class _ArrayPool:
     """Recycles fixed-shape scratch arrays across forward/backward passes.
@@ -152,8 +149,6 @@ class Tape:
 
     def record(self, name: str, out_data, backward_fn: Callable) -> Tensor:
         """Append an op: backward_fn(grad_out) yields (node_id, grad) pairs."""
-        if DEBUG_FINITE and not np.all(np.isfinite(out_data)):
-            raise FloatingPointError(f"non-finite output of {name}")
         t = self._new_node(out_data)
         self._records.append((name, t.node_id, t.data, backward_fn))
         return t
@@ -218,6 +213,80 @@ def _emit(tape: Tape | None, name: str, out, bwd) -> Tensor:
     if tape is None:
         return Tensor(out)
     return tape.record(name, out, bwd)
+
+
+# ---------------------------------------------------------------------------
+# array kernels shared by the taped ops and the fused gated conv
+
+
+def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
+    """(C, L) array mirror-padded without repeating the edge sample."""
+    c, length = xd.shape
+    if left < 0 or right < 0:
+        raise ValueError("pad must be non-negative")
+    if left >= length or right >= length:
+        raise ValueError(f"pad ({left}, {right}) must be smaller than length {length}")
+    y = pool.take((c, length + left + right), xd.dtype)
+    y[:, left : left + length] = xd
+    if left:
+        y[:, :left] = xd[:, left:0:-1]
+    if right:
+        stop = length - 2 - right
+        y[:, left + length :] = xd[:, length - 2 : (stop if stop >= 0 else None) : -1]
+    return y
+
+
+def _reflect_adjoint(g: np.ndarray, left: int, right: int, length: int) -> np.ndarray:
+    """Adjoint of _reflect: fold the mirrored margins of g back onto the source."""
+    gx = pool.take((g.shape[0], length), g.dtype)
+    np.copyto(gx, g[:, left : left + length])
+    if left:
+        gx[:, 1 : left + 1] += g[:, left - 1 :: -1]
+    if right:
+        stop = length - 2 - right
+        gx[:, length - 2 : (stop if stop >= 0 else None) : -1] += g[:, left + length :]
+    return gx
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Columnwise softmax over channels, with max subtraction."""
+    y = pool.take(a.shape, a.dtype)
+    np.subtract(a, a.max(axis=0, keepdims=True), out=y)
+    np.exp(y, out=y)
+    y /= y.sum(axis=0, keepdims=True)
+    return y
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Input gradient of _softmax given its output y: y * (g - sum(g * y))."""
+    gx = pool.take(g.shape, g.dtype)
+    np.multiply(g, y, out=gx)
+    dot = gx.sum(axis=0, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    gx *= y
+    return gx
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large |a|."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sigmoid_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    gx = pool.take(g.shape, g.dtype)
+    np.subtract(g.dtype.type(1.0), y, out=gx)
+    gx *= y
+    gx *= g
+    return gx
+
+
+def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    gx = pool.take(g.shape, g.dtype)
+    np.multiply(y, y, out=gx)
+    np.subtract(g.dtype.type(1.0), gx, out=gx)
+    gx *= g
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +458,9 @@ def gated_conv_pair(
         raise ValueError(f"filter/gate weight shapes differ: {wf.shape} vs {wg.shape}")
     if w_cin != c_in:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {w_cin}")
-    if pad >= length:
-        raise ValueError(f"pad ({pad}, {pad}) must be smaller than length {length}")
     if 2 * pad + 1 != k:
         raise ValueError("gated conv pad must preserve length (k = 2*pad + 1)")
-
-    xp = pool.take((c_in, length + 2 * pad), xd.dtype)
-    xp[:, pad : pad + length] = xd
-    if pad:
-        xp[:, :pad] = xd[:, pad:0:-1]
-        stop = length - 2 - pad
-        xp[:, pad + length :] = xd[:, length - 2 : (stop if stop >= 0 else None) : -1]
-    cols = _im2col(xp, k, 1)
+    cols = _im2col(_reflect(xd, pad, pad), k, 1)
 
     ck = c_in * k
     w_stack = pool.take((2 * c_out, ck), wf.dtype)
@@ -413,39 +473,16 @@ def gated_conv_pair(
     if bg is not None:
         yg += bg.reshape(-1, 1)
 
+    softmax = gate_kind == "softmax_channel"
     f = np.tanh(yf, out=pool.take(yf.shape, yf.dtype))
-    if gate_kind == "softmax_channel":
-        gate = pool.take(yg.shape, yg.dtype)
-        np.subtract(yg, yg.max(axis=0, keepdims=True), out=gate)
-        np.exp(gate, out=gate)
-        gate /= gate.sum(axis=0, keepdims=True)
-    else:
-        gate = np.where(
-            yg >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(yg))),
-            np.exp(-np.abs(yg)) / (1.0 + np.exp(-np.abs(yg))),
-        )
+    gate = _softmax(yg) if softmax else _sigmoid(yg)
     y = np.multiply(f, gate, out=pool.take(f.shape, f.dtype))
 
     def bwd(g):
-        one = g.dtype.type(1.0)
         # through the product and the two activations
-        d_f = np.multiply(g, gate, out=pool.take(g.shape, g.dtype))
+        d_yf = _tanh_vjp(np.multiply(g, gate, out=pool.take(g.shape, g.dtype)), f)
         d_gate = np.multiply(g, f, out=pool.take(g.shape, g.dtype))
-        d_yf = pool.take(g.shape, g.dtype)
-        np.multiply(f, f, out=d_yf)
-        np.subtract(one, d_yf, out=d_yf)
-        d_yf *= d_f
-        d_yg = pool.take(g.shape, g.dtype)
-        if gate_kind == "softmax_channel":
-            np.multiply(d_gate, gate, out=d_yg)
-            dot = d_yg.sum(axis=0, keepdims=True)
-            np.subtract(d_gate, dot, out=d_yg)
-            d_yg *= gate
-        else:
-            np.subtract(one, gate, out=d_yg)
-            d_yg *= gate
-            d_yg *= d_gate
+        d_yg = _softmax_vjp(d_gate, gate) if softmax else _sigmoid_vjp(d_gate, gate)
         d_stack = pool.take((2 * c_out, g.shape[1]), g.dtype)
         d_stack[:c_out] = d_yf
         d_stack[c_out:] = d_yg
@@ -462,13 +499,7 @@ def gated_conv_pair(
             out.append((bg_id, d_yg.sum(axis=1)))
         gcols = _matmul(w_stack.T, d_stack).reshape(c_in, k, g.shape[1])
         gxp = _fold(gcols, 1, length + 2 * pad)
-        gx = pool.take((c_in, length), g.dtype)
-        np.copyto(gx, gxp[:, pad : pad + length])
-        if pad:
-            gx[:, 1 : pad + 1] += gxp[:, pad - 1 :: -1]
-            stop = length - 2 - pad
-            gx[:, length - 2 : (stop if stop >= 0 else None) : -1] += gxp[:, pad + length :]
-        out.append((x_id, gx))
+        out.append((x_id, _reflect_adjoint(gxp, pad, pad, length)))
         return out
 
     return _emit(tape, "gated_conv_pair", y, bwd)
@@ -476,54 +507,19 @@ def gated_conv_pair(
 
 def reflect_pad(x: Tensor, left: int, right: int) -> Tensor:
     """Mirror padding without repeating the edge sample."""
-    xd = x.data
-    c, length = xd.shape
-    if left < 0 or right < 0:
-        raise ValueError("pad must be non-negative")
-    if left >= length or right >= length:
-        raise ValueError(f"pad ({left}, {right}) must be smaller than length {length}")
-    y = pool.take((c, length + left + right), xd.dtype)
-    y[:, left : left + length] = xd
-    if left:
-        y[:, :left] = xd[:, left:0:-1]
-    if right:
-        stop = length - 2 - right
-        y[:, left + length :] = xd[:, length - 2 : (stop if stop >= 0 else None) : -1]
-
+    length = x.length
+    y = _reflect(x.data, left, right)
     x_id = x.node_id
-
-    def bwd(g):
-        gx = pool.take((c, length), g.dtype)
-        np.copyto(gx, g[:, left : left + length])
-        if left:
-            gx[:, 1 : left + 1] += g[:, left - 1 :: -1]
-        if right:
-            stop = length - 2 - right
-            gx[:, length - 2 : (stop if stop >= 0 else None) : -1] += g[:, left + length :]
-        return [(x_id, gx)]
-
-    return _emit(x.tape, "reflect_pad", y, bwd)
+    return _emit(
+        x.tape, "reflect_pad", y, lambda g: [(x_id, _reflect_adjoint(g, left, right, length))]
+    )
 
 
 def channel_softmax(x: Tensor) -> Tensor:
     """Columnwise softmax over channels, computed with max subtraction."""
-    xd = x.data
-    y = pool.take(xd.shape, xd.dtype)
-    np.subtract(xd, xd.max(axis=0, keepdims=True), out=y)
-    np.exp(y, out=y)
-    y /= y.sum(axis=0, keepdims=True)
-
+    y = _softmax(x.data)
     x_id = x.node_id
-
-    def bwd(g):
-        gx = pool.take(xd.shape, g.dtype)
-        np.multiply(g, y, out=gx)
-        dot = gx.sum(axis=0, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= y
-        return [(x_id, gx)]
-
-    return _emit(x.tape, "channel_softmax", y, bwd)
+    return _emit(x.tape, "channel_softmax", y, lambda g: [(x_id, _softmax_vjp(g, y))])
 
 
 # ---------------------------------------------------------------------------
@@ -533,35 +529,13 @@ def channel_softmax(x: Tensor) -> Tensor:
 def tanh_(x: Tensor) -> Tensor:
     y = np.tanh(x.data, out=pool.take(x.data.shape, x.data.dtype))
     x_id = x.node_id
-
-    def bwd(g):
-        gx = pool.take(y.shape, g.dtype)
-        np.multiply(y, y, out=gx)
-        np.subtract(g.dtype.type(1.0), gx, out=gx)
-        gx *= g
-        return [(x_id, gx)]
-
-    return _emit(x.tape, "tanh", y, bwd)
+    return _emit(x.tape, "tanh", y, lambda g: [(x_id, _tanh_vjp(g, y))])
 
 
 def sigmoid_(x: Tensor) -> Tensor:
-    d = x.data
-    y = np.where(
-        d >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(d))),
-        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))),
-    )
-
+    y = _sigmoid(x.data)
     x_id = x.node_id
-
-    def bwd(g):
-        gx = pool.take(y.shape, g.dtype)
-        np.subtract(g.dtype.type(1.0), y, out=gx)
-        gx *= y
-        gx *= g
-        return [(x_id, gx)]
-
-    return _emit(x.tape, "sigmoid", y, bwd)
+    return _emit(x.tape, "sigmoid", y, lambda g: [(x_id, _sigmoid_vjp(g, y))])
 
 
 def _slope_mask(xd: np.ndarray, slope: float) -> np.ndarray:

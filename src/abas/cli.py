@@ -37,17 +37,6 @@ def _echo(command: str, resolved: dict):
     print(f"[{command}] config: {json.dumps(resolved, sort_keys=True, default=str)}")
 
 
-def _limit_threads(n: int | None):
-    if not n:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        print("note: threadpoolctl unavailable; --threads ignored", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -211,6 +200,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
+    restore_into(ckpt, *build_models(ckpt.config))  # validates every tensor name and shape
     _echo("inspect-checkpoint", {"ckpt": args.ckpt})
     print(f"version: {ckpt.version}")
     print(f"step: {ckpt.step}")
@@ -228,7 +218,6 @@ def cmd_inspect_checkpoint(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abas", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic speech-like WAV corpus")
@@ -299,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args) or 0
     except TrainDiverged as e:

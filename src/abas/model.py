@@ -28,6 +28,7 @@ from .nn import (
     GatedConvLayer,
     SpectralNormState,
     TConv1d,
+    matricize,
 )
 
 
@@ -294,12 +295,6 @@ class Discriminator:
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-
-def matricize(w: np.ndarray, transpose_in_out: bool) -> np.ndarray:
-    """Weight as the (out, in * k) matrix spectral normalization acts on."""
-    w_op = w.transpose(1, 0, 2) if transpose_in_out else w
-    return w_op.reshape(w_op.shape[0], -1)
 
 
 def advance_states(entries, params_by_name):

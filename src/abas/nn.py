@@ -42,6 +42,12 @@ class SpectralNormState:
         self.u = u / max(np.linalg.norm(u), SIGMA_FLOOR)
 
 
+def matricize(w: np.ndarray, transpose_in_out: bool) -> np.ndarray:
+    """Weight as the (out, in * k) matrix spectral normalization acts on."""
+    w_op = w.transpose(1, 0, 2) if transpose_in_out else w
+    return w_op.reshape(w_op.shape[0], -1)
+
+
 def estimate_sigma(w_mat: np.ndarray, state: SpectralNormState) -> tuple[float, np.ndarray]:
     """Current top-singular-value estimate u'Wv and the v it used."""
     v = w_mat.T @ state.u
@@ -64,9 +70,7 @@ def spectral_normalize(
     gradients flow through the division itself.
     """
     w = weight.data
-    w_op = w.transpose(1, 0, 2) if transpose_in_out else w
-    w_mat = w_op.reshape(w_op.shape[0], -1)
-    sigma, v = estimate_sigma(w_mat, state)
+    sigma, v = estimate_sigma(matricize(w, transpose_in_out), state)
     sigma = max(sigma, SIGMA_FLOOR)
     w_norm = np.multiply(w, w.dtype.type(1.0 / sigma), out=ad.pool.take(w.shape, w.dtype))
     if tape is None:
@@ -81,13 +85,20 @@ def spectral_normalize(
         gw = np.multiply(gd, gd.dtype.type(1.0 / sigma), out=ad.pool.take(w.shape, gd.dtype))
         rank1 = ad.pool.take((u.size, v.size), gd.dtype)
         np.multiply((coef * u)[:, None], v[None, :], out=rank1)
-        rank1 = rank1.reshape(w_op.shape)
+        rank1 = rank1.reshape(u.size, -1, w.shape[2])
         if transpose_in_out:
             rank1 = rank1.transpose(1, 0, 2)
         gw -= rank1
         return [(leaf_id, gw)]
 
     return tape.record("spectral_normalize", w_norm, bwd)
+
+
+def _weight_view(layer, tape: ad.Tape | None, transpose_in_out: bool = False):
+    """A conv layer's weight, spectral-normalized when the layer carries SN state."""
+    if layer.sn is None:
+        return layer.weight
+    return spectral_normalize(layer.weight, layer.sn, tape, transpose_in_out)
 
 
 class Conv1d:
@@ -117,8 +128,8 @@ class Conv1d:
         self.sn = SpectralNormState(rng, c_out, dtype) if spectral_norm else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        w = self.weight if self.sn is None else spectral_normalize(self.weight, self.sn, x.tape)
-        return ad.conv1d(x, w, self.bias, self.stride, self.pad, self.pad_mode)
+        return ad.conv1d(x, _weight_view(self, x.tape), self.bias, self.stride, self.pad,
+                         self.pad_mode)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -152,11 +163,7 @@ class TConv1d:
         self.sn = SpectralNormState(rng, c_out, dtype) if spectral_norm else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        w = (
-            self.weight
-            if self.sn is None
-            else spectral_normalize(self.weight, self.sn, x.tape, transpose_in_out=True)
-        )
+        w = _weight_view(self, x.tape, transpose_in_out=True)
         return ad.tconv1d(x, w, self.bias, self.stride, self.crop)
 
     def parameters(self):
@@ -200,19 +207,10 @@ class GatedConvLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         # fused kernel: shared pad + im2col + stacked GEMM for both paths;
-        # bit-identical to the explicit composition below (see gated_conv)
-        wf = (
-            self.filter.weight
-            if self.filter.sn is None
-            else spectral_normalize(self.filter.weight, self.filter.sn, x.tape)
-        )
-        wg = (
-            self.gate.weight
-            if self.gate.sn is None
-            else spectral_normalize(self.gate.weight, self.gate.sn, x.tape)
-        )
+        # bit-identical to tanh(self.filter(x)) * gate(self.gate(x))
         return ad.gated_conv_pair(
-            x, wf, self.filter.bias, wg, self.gate.bias, self.filter.pad[0], self.gate_kind
+            x, _weight_view(self.filter, x.tape), self.filter.bias,
+            _weight_view(self.gate, x.tape), self.gate.bias, self.filter.pad[0], self.gate_kind,
         )
 
     def parameters(self):
@@ -220,13 +218,3 @@ class GatedConvLayer:
 
     def sn_entries(self):
         return self.filter.sn_entries() + self.gate.sn_entries()
-
-
-def gated_conv(x: Tensor, layer: GatedConvLayer, gate_kind: str | None = None) -> Tensor:
-    """Apply a gated conv layer, optionally overriding its gate kind."""
-    if gate_kind is None or gate_kind == layer.gate_kind:
-        return layer(x)
-    f = ad.tanh_(layer.filter(x))
-    g = layer.gate(x)
-    gated = ad.channel_softmax(g) if gate_kind == GATE_SOFTMAX else ad.sigmoid_(g)
-    return ad.mul_(f, gated)

@@ -39,6 +39,7 @@ CROP_GRID = dsp.DEFAULT_FRAME_LEN
 
 CKPT_MAGIC = b"ABAS"
 CKPT_VERSION = 1
+MOMENT_SUFFIXES = (".m", ".v", ".vmax")
 
 
 class TrainDiverged(RuntimeError):
@@ -444,6 +445,7 @@ class Checkpoint:
     sn_u: dict[str, np.ndarray]
     rng_state: dict
     step: int
+    adam_t: dict[str, int]  # optimizer step counters {"g": ..., "d": ...}
 
 
 def _write_tensor(f, name: str, arr: np.ndarray):
@@ -467,12 +469,13 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
             opt[p.name + ".v"] = state.v[p.name]
             opt[p.name + ".vmax"] = state.vmax[p.name]
     sn_u = {name + ".sn_u": st.u for name, st, _ in G.sn_entries() + D.sn_entries()}
+    adam_t = {"g": opt_g.t, "d": opt_d.t}
 
     blob = json.dumps(
         {
             "config": config.to_dict(),
             "rng_state": _jsonable(rng_state),
-            "adam_t": {"g": opt_g.t, "d": opt_d.t},
+            "adam_t": adam_t,
         }
     ).encode("utf-8")
     tensors = list(params.items()) + list(opt.items()) + list(sn_u.items())
@@ -489,7 +492,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
                       {k: v.copy() for k, v in params.items()},
                       {k: v.copy() for k, v in opt.items()},
                       {k: v.copy() for k, v in sn_u.items()},
-                      _jsonable(rng_state), step)
+                      _jsonable(rng_state), step, adam_t)
 
 
 def _jsonable(state):
@@ -525,8 +528,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint; shapes are checked against the
-    architecture implied by the embedded config."""
+    """Parse a checkpoint file: magic, version and truncation are checked here;
+    tensor names and shapes are checked by ``restore_into``."""
     raw = Path(path).read_bytes()
     r = _Reader(raw)
     if r.read(4) != CKPT_MAGIC:
@@ -537,58 +540,57 @@ def load_checkpoint(path) -> Checkpoint:
     blob = json.loads(r.read(r.u32()).decode("utf-8"))
     config = TrainConfig.from_dict(blob["config"])
     n_tensors = r.u32()
-    tensors: dict[str, np.ndarray] = {}
+    params, opt, sn_u = {}, {}, {}
     for _ in range(n_tensors):
         name = r.read(r.u16()).decode("utf-8")
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(r.read(4 * count), dtype="<f4").reshape(shape).copy()
-        tensors[name] = arr
-    step = r.u64()
-
-    G, D = build_models(config)
-    expected = {p.name: p.data.shape for p in G.parameters() + D.parameters()}
-    params, opt, sn_u = {}, {}, {}
-    for name, arr in tensors.items():
         if name.endswith(".sn_u"):
             sn_u[name] = arr
-            continue
-        base = name
-        for suffix in (".m", ".v", ".vmax"):
-            if name.endswith(suffix):
-                base = name[: -len(suffix)]
-                break
-        if base not in expected:
-            raise ShapeMismatch(f"unexpected tensor {name!r} for this architecture")
-        if arr.shape != expected[base]:
-            raise ShapeMismatch(
-                f"shape mismatch for {name!r}: file {arr.shape}, architecture {expected[base]}"
-            )
-        (params if base == name else opt)[name] = arr
-    missing = set(expected) - set(params)
-    if missing:
-        raise ShapeMismatch(f"missing parameters: {sorted(missing)[:3]}...")
-    ckpt = Checkpoint(version, config, params, opt, sn_u, blob["rng_state"], step)
-    ckpt.adam_t = blob.get("adam_t", {"g": step, "d": step})
-    return ckpt
+        elif name.endswith(MOMENT_SUFFIXES):
+            opt[name] = arr
+        else:
+            params[name] = arr
+    step = r.u64()
+    adam_t = blob.get("adam_t", {"g": step, "d": step})
+    return Checkpoint(version, config, params, opt, sn_u, blob["rng_state"], step, adam_t)
 
 
 def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
                  opt_g: AdamState | None = None, opt_d: AdamState | None = None):
-    """Copy checkpoint values into freshly built models (and optimizer states)."""
-    for p in G.parameters() + D.parameters():
+    """Copy checkpoint values into freshly built models (and optimizer states).
+
+    Every tensor in the file must name a parameter, optimizer moment or
+    power-iteration vector of these models with the same shape, and every one
+    of those must be present, optimizer moments included when no optimizer
+    is given; otherwise ShapeMismatch is raised and nothing is copied.
+    """
+    params = G.parameters() + D.parameters()
+    sn = {name + ".sn_u": state for name, state, _ in G.sn_entries() + D.sn_entries()}
+    expected = {p.name + sfx: p.data.shape for p in params for sfx in ("",) + MOMENT_SUFFIXES}
+    expected.update((key, state.u.shape) for key, state in sn.items())
+    found = {**ckpt.params, **ckpt.opt, **ckpt.sn_u}
+    for name, arr in found.items():
+        if name not in expected:
+            raise ShapeMismatch(f"unexpected tensor {name!r} for this architecture")
+        if arr.shape != expected[name]:
+            raise ShapeMismatch(
+                f"shape mismatch for {name!r}: file {arr.shape}, architecture {expected[name]}"
+            )
+    missing = sorted(set(expected) - set(found))
+    if missing:
+        raise ShapeMismatch(f"{len(missing)} tensors missing, first {missing[0]!r}")
+
+    for p in params:
         p.data[...] = ckpt.params[p.name]
-    for model in (G, D):
-        for name, state, _ in model.sn_entries():
-            key = name + ".sn_u"
-            if key in ckpt.sn_u:
-                state.u = ckpt.sn_u[key].astype(state.u.dtype)
-    adam_t = getattr(ckpt, "adam_t", {"g": ckpt.step, "d": ckpt.step})
+    for key, state in sn.items():
+        state.u = ckpt.sn_u[key].astype(state.u.dtype)
     for opt, model, key in ((opt_g, G, "g"), (opt_d, D, "d")):
         if opt is None:
             continue
-        opt.t = int(adam_t[key])
+        opt.t = int(ckpt.adam_t[key])
         for p in model.parameters():
             opt.m[p.name][...] = ckpt.opt[p.name + ".m"]
             opt.v[p.name][...] = ckpt.opt[p.name + ".v"]

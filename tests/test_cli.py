@@ -7,6 +7,7 @@ from abas import cli
 from abas.metrics import l1_distance, log_spectral_distance, ssnr
 from abas.train import gen_synthetic_corpus
 from abas.wavio import read_wav
+from conftest import CHECKPOINT_DEFECTS, rewrite_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -157,6 +158,14 @@ class TestTrainCommand:
         echoed = capsys.readouterr().out
         assert '"gamma": 0.5' in echoed
 
+    def test_resume_missing_moment_exits_3(self, trained, corpus_dir, tmp_path, capsys):
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["missing_moment"])
+        rc = cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                       "--steps", "3", "--batch", "1", "--seg-len", "528", "--seed", "4",
+                       "--resume", str(bad)])
+        assert rc == 3
+        assert "G.enc.down0.weight.m" in capsys.readouterr().err
+
     def test_gate_flag_difference_is_config_only(self, corpus_dir, tmp_path, capsys):
         for gate in ("softmax", "sigmoid"):
             rc = cli.main(["train", "--corpus", str(corpus_dir), "--steps", "1", "--batch", "1",
@@ -200,6 +209,15 @@ class TestVocode:
         rc = cli.main(["vocode", "--ckpt", str(trained), "--in", str(short),
                        "--out", str(tmp_path / "o.wav")])
         assert rc == 3
+
+    def test_mis_shaped_checkpoint(self, trained, corpus_dir, tmp_path, capsys):
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["wrong_shape"])
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        rc = cli.main(["vocode", "--ckpt", str(bad), "--in", str(src),
+                       "--out", str(tmp_path / "o.wav")])
+        assert rc == 3
+        assert "shape mismatch for 'G.out.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
 
     def test_missing_checkpoint(self, corpus_dir, tmp_path):
         src = sorted(corpus_dir.glob("*.wav"))[0]
@@ -247,6 +265,10 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "version: 1" in out and "step: 2" in out
         assert "G.enc.down0.weight" in out
+
+    def test_mis_shaped_exit_code(self, trained, tmp_path):
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["wrong_shape"])
+        assert cli.main(["inspect-checkpoint", "--ckpt", str(bad)]) == 3
 
     def test_bad_magic_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -26,11 +26,13 @@ class TestGatedConv:
         out = layer(Tensor(rng.normal(size=(2, 40)).astype(np.float32) * 5))
         assert np.max(np.abs(out.data)) <= 1.0
 
-    def test_sigmoid_gate_matches_direct_composition(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, nn.GATE_SIGMOID, False, np.float64)
+    @pytest.mark.parametrize("gate_kind", nn.GATE_KINDS)
+    def test_fused_gate_matches_direct_composition(self, rng, gate_kind):
+        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, gate_kind, False, np.float64)
         x = Tensor(rng.normal(size=(3, 20)))
         out = layer(x)
-        direct = ad.mul_(ad.tanh_(layer.filter(x)), ad.sigmoid_(layer.gate(x)))
+        gate = ad.channel_softmax if gate_kind == nn.GATE_SOFTMAX else ad.sigmoid_
+        direct = ad.mul_(ad.tanh_(layer.filter(x)), gate(layer.gate(x)))
         assert np.array_equal(out.data, direct.data)
 
     def test_length_preserved(self, rng):
@@ -43,13 +45,6 @@ class TestGatedConv:
         layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, nn.GATE_SOFTMAX, False, np.float32)
         with pytest.raises(ValueError, match="channel mismatch"):
             layer(Tensor(np.zeros((2, 20), np.float32)))
-
-    def test_gate_kind_override(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, nn.GATE_SOFTMAX, False, np.float64)
-        x = Tensor(rng.normal(size=(3, 20)))
-        as_sigmoid = nn.gated_conv(x, layer, nn.GATE_SIGMOID)
-        direct = ad.mul_(ad.tanh_(layer.filter(x)), ad.sigmoid_(layer.gate(x)))
-        assert np.array_equal(as_sigmoid.data, direct.data)
 
 
 class TestSpectralNorm:

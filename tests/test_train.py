@@ -16,6 +16,7 @@ from abas.model import (
     NoiseBundle,
 )
 from abas.wavio import read_wav
+from conftest import CHECKPOINT_DEFECTS, rewrite_checkpoint
 
 
 def tiny_setup(cfg, model_seed=3):
@@ -347,6 +348,15 @@ class TestTrainStep:
                 T.train_step(next(batches), G, D, og, od, cfg, rng)
 
 
+@pytest.fixture(scope="module")
+def one_step_ckpt(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_step")
+    cfg = T.TrainConfig(batch_size=1, segment_len=528, steps=1, seed=11,
+                        synthetic={"n_clips": 1, "clip_len": 2080})
+    T.train_loop(cfg, out)
+    return out / "final.ckpt"
+
+
 class TestCheckpoint:
     def _small_run(self, tmp_path, steps=3, **kw):
         cfg = T.TrainConfig(
@@ -403,6 +413,16 @@ class TestCheckpoint:
         G, D = T.build_models(T.TrainConfig.from_dict({**cfg.to_dict(), "gate_kind": "softmax_channel"}))
         T.restore_into(ckpt, G, D)  # same shapes, no error
         assert all(np.array_equal(p.data, ckpt.params[p.name]) for p in G.parameters()[:3])
+
+    @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+    def test_restore_rejects_mismatch(self, one_step_ckpt, tmp_path, defect):
+        bad = rewrite_checkpoint(one_step_ckpt, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS[defect])
+        ckpt = T.load_checkpoint(bad)  # parsing alone does not check names or shapes
+        G, D = T.build_models(ckpt.config)
+        before = [p.data.copy() for p in G.parameters()]
+        with pytest.raises(T.ShapeMismatch):
+            T.restore_into(ckpt, G, D, T.AdamState(G.parameters()), T.AdamState(D.parameters()))
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, G.parameters()))
 
     def test_format_layout(self, tmp_path):
         cfg, _ = self._small_run(tmp_path)
