@@ -1,7 +1,8 @@
 """The two layer mechanisms the networks lean on.
 
-1. Gated convolutions: tanh(filter) * gate, where the gate is a softmax over
-   channels (per time step) or an elementwise sigmoid.
+1. Gated convolutions: tanh(filter) * gate, where the gate is a unit-gain
+   softmax over channels (per time step, scaled by the channel count so its
+   mean is 1) or an elementwise sigmoid.
 2. Spectral normalization: weights divided by a power-iteration estimate of
    their top singular value, bounding each layer's Lipschitz constant.
 """
@@ -19,13 +20,16 @@ x = Tensor(rng.normal(size=(4, 64)).astype(np.float32))
 for gate in (nn.GATE_SOFTMAX, nn.GATE_SIGMOID):
     layer = nn.GatedConvLayer(np.random.default_rng(1), f"demo_{gate}", 4, 8, 65, gate)
     out = layer(x)
-    print(f"{gate:16s}: out {out.data.shape}, max |out| = {np.max(np.abs(out.data)):.4f} (<= 1)")
+    bound = 8 if gate == nn.GATE_SOFTMAX else 1
+    print(f"{gate:16s}: out {out.data.shape}, max |out| = {np.max(np.abs(out.data)):.4f} "
+          f"(<= {bound})")
 
-# softmax gating couples the channels: each time step's gate sums to 1
+# softmax gating couples the channels: each time step's gate sums to the
+# channel count (8 here), so the gate's mean gain is 1
 layer = nn.GatedConvLayer(np.random.default_rng(1), "demo", 4, 8, 65, nn.GATE_SOFTMAX)
 from abas import autodiff as ad
 
-gates = ad.channel_softmax(layer.gate(x))
+gates = ad.scale_(ad.channel_softmax(layer.gate(x)), 8)
 print(f"gate column sums: {np.round(gates.data.sum(axis=0)[:5], 6)} ...")
 
 # -- spectral normalization ------------------------------------------------------

@@ -440,10 +440,16 @@ def gated_conv_pair(
 ) -> Tensor:
     """Fused length-preserving gated convolution: tanh(filter) * gate.
 
+    The sigmoid gate is elementwise. The channel-softmax gate is unit-gain,
+    ``c_out * softmax(gate)``, so each column sums to ``c_out`` and its mean
+    is 1; an unscaled softmax would shrink the signal about ``c_out``-fold per
+    layer, down to subnormal floats within a few layers.
+
     The filter and gate convolutions share one reflect pad and one im2col, and
     their weights are stacked into a single GEMM, which matters because gated
     layers dominate the generator's cost. Produces the exact values of the
-    equivalent op composition (GEMM rows are independent).
+    equivalent op composition (GEMM rows are independent), with the softmax
+    gate composed as ``scale_(channel_softmax(gate), c_out)``.
     """
     tape = x.tape
     x_id = x.node_id
@@ -475,14 +481,23 @@ def gated_conv_pair(
 
     softmax = gate_kind == "softmax_channel"
     f = np.tanh(yf, out=pool.take(yf.shape, yf.dtype))
-    gate = _softmax(yg) if softmax else _sigmoid(yg)
+    if softmax:
+        gain = yg.dtype.type(c_out)
+        probs = _softmax(yg)
+        gate = np.multiply(probs, gain, out=pool.take(probs.shape, probs.dtype))
+    else:
+        gate = _sigmoid(yg)
     y = np.multiply(f, gate, out=pool.take(f.shape, f.dtype))
 
     def bwd(g):
         # through the product and the two activations
         d_yf = _tanh_vjp(np.multiply(g, gate, out=pool.take(g.shape, g.dtype)), f)
         d_gate = np.multiply(g, f, out=pool.take(g.shape, g.dtype))
-        d_yg = _softmax_vjp(d_gate, gate) if softmax else _sigmoid_vjp(d_gate, gate)
+        if softmax:
+            d_gate *= gain
+            d_yg = _softmax_vjp(d_gate, probs)
+        else:
+            d_yg = _sigmoid_vjp(d_gate, gate)
         d_stack = pool.take((2 * c_out, g.shape[1]), g.dtype)
         d_stack[:c_out] = d_yf
         d_stack[c_out:] = d_yg

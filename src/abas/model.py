@@ -5,6 +5,10 @@ Generator = residual encoder (16x learned downsampling to a 1-channel context)
 upsampler (4 doubling stages, each refined by a gated conv and joined by an
 independently upsampled noise branch) -> single-channel tanh output.
 
+The default channel-softmax gate is unit-gain (``c_out * softmax``), so the
+ten-layer decoder keeps its hidden map at the scale of its input; with a plain
+softmax every layer would shrink it about 64-fold, to subnormal floats.
+
 Discriminator = strided conv stack over the 2-channel (candidate, residual)
 concatenation, spectral-normalized throughout, global mean as the score.
 

@@ -176,9 +176,11 @@ class TConv1d:
 class GatedConvLayer:
     """Filter/gate conv pair: tanh(filter) elementwise-times gate.
 
-    The gate is a channel softmax or an elementwise sigmoid; kernel width and
-    reflect padding are chosen to preserve length, so the output magnitude is
-    bounded by 1 either way.
+    The gate is a unit-gain channel softmax, ``c_out * softmax`` over channels
+    (each column sums to ``c_out``, mean 1), or an elementwise sigmoid. Kernel
+    width and reflect padding are chosen to preserve length. The output
+    magnitude is bounded by ``c_out`` with the softmax gate and by 1 with the
+    sigmoid gate.
     """
 
     def __init__(

@@ -10,6 +10,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -38,7 +39,9 @@ ADAM_EPS = 1e-8
 CROP_GRID = dsp.DEFAULT_FRAME_LEN
 
 CKPT_MAGIC = b"ABAS"
-CKPT_VERSION = 1
+# Version 2: the channel-softmax gate became unit-gain. A version-1 file has
+# the same tensor names and shapes but belongs to a different network.
+CKPT_VERSION = 2
 MOMENT_SUFFIXES = (".m", ".v", ".vmax")
 
 
@@ -404,6 +407,7 @@ def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpo
             stats = train_step(next(batches), G, D, opt_g, opt_d, config, rng)
             history.append(stats)
             log.write(format_loss_row(step, stats) + "\n")
+            log.flush()  # a crash loses no logged step
             if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
                 save_checkpoint(out_dir / f"step_{step}.ckpt", config, G, D, opt_g, opt_d,
                                 rng.bit_generator.state, step)
@@ -479,15 +483,26 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
         }
     ).encode("utf-8")
     tensors = list(params.items()) + list(opt.items()) + list(sn_u.items())
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            _write_tensor(f, name, arr)
-        f.write(struct.pack("<Q", step))
+    # write a temp file and rename it over path, so a crash mid-save leaves
+    # the previous checkpoint intact and no partial file behind
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors:
+                _write_tensor(f, name, arr)
+            f.write(struct.pack("<Q", step))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return Checkpoint(CKPT_VERSION, config,
                       {k: v.copy() for k, v in params.items()},
                       {k: v.copy() for k, v in opt.items()},
@@ -505,13 +520,23 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def read(self, n: int) -> bytes:
+    def _need(self, n: int):
         if self.pos + n > len(self.data):
             raise TruncatedCheckpoint(
                 f"truncated file: wanted {n} bytes at offset {self.pos}, have {len(self.data)}"
             )
+
+    def read(self, n: int) -> bytes:
+        self._need(n)
         out = self.data[self.pos : self.pos + n]
         self.pos += n
+        return out
+
+    def floats(self, count: int) -> np.ndarray:
+        """Read-only float32 view into the file buffer: no copy."""
+        self._need(4 * count)
+        out = np.frombuffer(self.data, dtype="<f4", count=count, offset=self.pos)
+        self.pos += 4 * count
         return out
 
     def u8(self):
@@ -529,14 +554,17 @@ class _Reader:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file: magic, version and truncation are checked here;
-    tensor names and shapes are checked by ``restore_into``."""
+    tensor names and shapes are checked by ``restore_into``. Tensors are
+    read-only views into one buffer holding the file."""
     raw = Path(path).read_bytes()
     r = _Reader(raw)
     if r.read(4) != CKPT_MAGIC:
         raise BadMagic("bad magic")
     version = r.u32()
     if version != CKPT_VERSION:
-        raise BadVersion(f"unsupported version {version}")
+        raise BadVersion(
+            f"unsupported version {version}; this build reads version {CKPT_VERSION}"
+        )
     blob = json.loads(r.read(r.u32()).decode("utf-8"))
     config = TrainConfig.from_dict(blob["config"])
     n_tensors = r.u32()
@@ -546,7 +574,7 @@ def load_checkpoint(path) -> Checkpoint:
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(r.read(4 * count), dtype="<f4").reshape(shape).copy()
+        arr = r.floats(count).reshape(shape)
         if name.endswith(".sn_u"):
             sn_u[name] = arr
         elif name.endswith(MOMENT_SUFFIXES):

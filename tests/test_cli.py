@@ -219,6 +219,19 @@ class TestVocode:
         assert "shape mismatch for 'G.out.weight'" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
+    def test_version_1_checkpoint(self, trained, corpus_dir, tmp_path, capsys):
+        # same tensor names and shapes, but weights trained with the unscaled gate
+        raw = bytearray(trained.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(raw))
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        rc = cli.main(["vocode", "--ckpt", str(old), "--in", str(src),
+                       "--out", str(tmp_path / "o.wav")])
+        assert rc == 3
+        assert "unsupported version 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
     def test_missing_checkpoint(self, corpus_dir, tmp_path):
         src = sorted(corpus_dir.glob("*.wav"))[0]
         rc = cli.main(["vocode", "--ckpt", str(tmp_path / "nope.ckpt"), "--in", str(src),
@@ -263,7 +276,7 @@ class TestInspect:
         rc = cli.main(["inspect-checkpoint", "--ckpt", str(trained)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "version: 1" in out and "step: 2" in out
+        assert "version: 2" in out and "step: 2" in out
         assert "G.enc.down0.weight" in out
 
     def test_mis_shaped_exit_code(self, trained, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abas import autodiff as ad
+from abas import train as T
 from abas.autodiff import Tape, Tensor
 from abas.model import (
     Discriminator,
@@ -210,3 +211,65 @@ class TestSpectralNormAdvance:
             sigma = nn.estimate_sigma(mat, state)[0]
             top = np.linalg.svd(mat, compute_uv=False)[0]
             assert 0.5 <= top / sigma <= 2.0
+
+
+SIGMOID_FROZEN = pytest.mark.xfail(
+    strict=True,
+    reason="the sigmoid gate halves the signal at every gated layer: at seeds 0-3 the "
+    "smallest generator weight-gradient peak is 7e-17..9e-15 (4e-19..1.3e-18 after a "
+    "power-iteration advance) and swapping the residual moves the output by "
+    "2e-7..1e-6 of its peak",
+)
+ADVANCED_FROZEN = pytest.mark.xfail(
+    strict=True,
+    reason="after one power-iteration advance, as train_step does before its G phase, "
+    "the spectral-normalised layers shrink the signal path: at seeds 0-3, 4 to 11 "
+    "gate-weight tensors of the decoder and upsampler stage 0 peak at 1.6e-11..1e-10 "
+    "and the output moves by 1.0e-4..1.8e-4 of its peak",
+)
+
+
+@pytest.mark.parametrize(
+    "gate_kind,advance",
+    [
+        ("softmax_channel", False),
+        pytest.param("sigmoid", False, marks=SIGMOID_FROZEN),
+        pytest.param("softmax_channel", True, marks=ADVANCED_FROZEN),
+        pytest.param("sigmoid", True, marks=SIGMOID_FROZEN),
+    ],
+    ids=["softmax_channel-init", "sigmoid-init", "softmax_channel-advanced", "sigmoid-advanced"],
+)
+def test_generator_is_conditioned(gate_kind, advance):
+    """Full-size float32 generator, one G-phase loss as train_step builds it:
+    every weight gets a gradient in the normal float range, and the output
+    depends on the residual with the noise held fixed. ``advance`` first runs
+    the power iteration train_step runs before its G phase; without it the
+    models are as built."""
+    cfg = T.TrainConfig(seed=0, gate_kind=gate_kind, segment_len=1600)
+    G, D = T.build_models(cfg)
+    rng = np.random.default_rng(0)
+    clips = [T.synthesize_clip(rng, cfg.segment_len) for _ in range(2)]
+    residuals = T.residuals_for(clips, cfg.lpc_order, cfg.frame_len)
+    x, r, r_other = clips[0][None, :], residuals[0][None, :], residuals[1][None, :]
+    z = NoiseBundle.draw(rng, G.cfg.noise_channels, cfg.segment_len // G.cfg.compression)
+    if advance:
+        G.advance_spectral_norm()
+
+    tape = Tape()
+    fake = G.generate(tape.tensor(r), z)
+    l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(x)))
+    adv = D.discriminate(fake, tape.tensor(r))
+    tape.backward(ad.add_(ad.scale_(l1, cfg.gamma), ad.scale_(adv, -(1.0 - cfg.gamma))))
+
+    weights = [p for p in G.parameters() if p.name.endswith(".weight")]
+    peaks = {p.name: float(np.max(np.abs(p.grad))) for p in weights}
+    weakest = min(peaks, key=peaks.get)
+    assert peaks[weakest] > 1e-10, f"{weakest}: max|grad| {peaks[weakest]:.3g}"
+    tiny = np.finfo(np.float32).tiny
+    n_sub = sum(np.count_nonzero((p.grad != 0) & (np.abs(p.grad) < tiny)) for p in weights)
+    n_all = sum(p.grad.size for p in weights)
+    assert n_sub < 1e-4 * n_all, f"{n_sub} of {n_all} weight-gradient entries subnormal"
+
+    moved = G.generate(Tensor(r_other), z).data
+    change = np.max(np.abs(moved - fake.data)) / np.max(np.abs(fake.data))
+    assert change > 1e-4, f"swapping the residual moves the output by {change:.3g} of its peak"

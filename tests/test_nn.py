@@ -23,17 +23,26 @@ class TestGatedConv:
 
     def test_output_bounded(self, rng):
         layer = nn.GatedConvLayer(rng, "g", 2, 5, 7, nn.GATE_SOFTMAX, True, np.float32)
-        out = layer(Tensor(rng.normal(size=(2, 40)).astype(np.float32) * 5))
-        assert np.max(np.abs(out.data)) <= 1.0
+        x = Tensor(rng.normal(size=(2, 40)).astype(np.float32) * 5)
+        out = layer(x)
+        assert np.max(np.abs(out.data)) <= 5.0
+        gate = ad.scale_(ad.channel_softmax(layer.gate(x)), 5)
+        assert np.allclose(gate.data.sum(axis=0), 5.0, rtol=1e-6)
 
     @pytest.mark.parametrize("gate_kind", nn.GATE_KINDS)
     def test_fused_gate_matches_direct_composition(self, rng, gate_kind):
         layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, gate_kind, False, np.float64)
         x = Tensor(rng.normal(size=(3, 20)))
         out = layer(x)
-        gate = ad.channel_softmax if gate_kind == nn.GATE_SOFTMAX else ad.sigmoid_
-        direct = ad.mul_(ad.tanh_(layer.filter(x)), gate(layer.gate(x)))
+        if gate_kind == nn.GATE_SOFTMAX:
+            gate = ad.scale_(ad.channel_softmax(layer.gate(x)), 4)
+        else:
+            gate = ad.sigmoid_(layer.gate(x))
+        direct = ad.mul_(ad.tanh_(layer.filter(x)), gate)
         assert np.array_equal(out.data, direct.data)
+        tape = Tape()
+        layer(tape.tensor(x.data))
+        assert [rec[0] for rec in tape._records] == ["gated_conv_pair"]
 
     def test_length_preserved(self, rng):
         layer = nn.GatedConvLayer(rng, "g", 2, 2, 65, nn.GATE_SOFTMAX, True, np.float32)

@@ -396,6 +396,41 @@ class TestCheckpoint:
         with pytest.raises(T.BadVersion):
             T.load_checkpoint(bad)
 
+    def test_version_1_rejected(self, one_step_ckpt, tmp_path):
+        # version 1 predates the unit-gain softmax gate: same layout, other network
+        raw = bytearray(one_step_ckpt.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(raw))
+        with pytest.raises(T.BadVersion, match="unsupported version 1"):
+            T.load_checkpoint(old)
+
+    def test_crash_mid_save_keeps_previous(self, tmp_path, monkeypatch):
+        cfg, _ = self._small_run(tmp_path)
+        path = tmp_path / "final.ckpt"
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        G, D = T.build_models(cfg)
+        write = T._write_tensor
+        calls = []
+
+        def failing_write(f, name, arr):
+            calls.append(name)
+            if len(calls) == 5:
+                raise OSError("injected write failure")
+            write(f, name, arr)
+
+        monkeypatch.setattr(T, "_write_tensor", failing_write)
+        with pytest.raises(OSError, match="injected"):
+            T.save_checkpoint(path, cfg, G, D, T.AdamState(G.parameters()),
+                              T.AdamState(D.parameters()), {}, 0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing
+        resumed = T.TrainConfig(**{**cfg.to_dict(), "steps": cfg.steps + 1})
+        T.train_loop(resumed, tmp_path / "resumed", resume_from=path)
+        assert T.load_checkpoint(tmp_path / "resumed" / "final.ckpt").step == cfg.steps + 1
+
     def test_truncated(self, tmp_path):
         cfg, _ = self._small_run(tmp_path)
         raw = (tmp_path / "final.ckpt").read_bytes()
@@ -428,7 +463,7 @@ class TestCheckpoint:
         cfg, _ = self._small_run(tmp_path)
         raw = (tmp_path / "final.ckpt").read_bytes()
         assert raw[:4] == b"ABAS"
-        assert struct.unpack("<I", raw[4:8])[0] == 1
+        assert struct.unpack("<I", raw[4:8])[0] == 2
         blob_len = struct.unpack("<I", raw[8:12])[0]
         blob = json.loads(raw[12 : 12 + blob_len])
         assert blob["config"]["seed"] == 11
@@ -450,6 +485,25 @@ class TestTrainLoop:
         assert (tmp_path / "step_2.ckpt").exists()
         assert (tmp_path / "final.ckpt").exists()
         assert len(history) == 4
+
+    def test_loss_rows_on_disk_before_checkpoint(self, tmp_path, monkeypatch):
+        cfg = T.TrainConfig(
+            batch_size=1, segment_len=528, steps=3, seed=5, checkpoint_every=2,
+            synthetic={"n_clips": 1, "clip_len": 2080},
+        )
+        seen = []
+
+        def failing_write(f, name, arr):
+            seen.append((tmp_path / "loss.csv").read_text())
+            raise OSError("injected write failure")
+
+        monkeypatch.setattr(T, "_write_tensor", failing_write)
+        with pytest.raises(OSError, match="injected"):
+            T.train_loop(cfg, tmp_path)
+        # the rows were flushed while loss.csv was still open
+        assert seen[0].splitlines() == (tmp_path / "loss.csv").read_text().splitlines()
+        assert len(seen[0].splitlines()) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv"]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg_a = T.TrainConfig(
