@@ -292,9 +292,15 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution kernels
 #
-# All heavy work routes through GEMMs on an explicit im2col matrix, which is
-# materialized once per op and shared between the forward pass and both weight
-# and input gradients. Cross-correlation convention throughout: no kernel flip.
+# All heavy work routes through GEMMs. conv1d picks one of two lowerings from
+# the shapes alone. In general it builds an explicit (c_in*k, T) im2col matrix
+# of the input once, and the forward pass and both gradients share it. A
+# stride-1 conv that narrows (c_out < c_in) instead lowers on the output side:
+# one GEMM gives every tap's contribution at every position, a (c_out*k, L)
+# matrix, and a sum along its diagonals gives the output; its backward works
+# on the im2col of the (c_out, T) output gradient. That keeps a 64 -> 1
+# channel conv from copying its input k times. Cross-correlation convention
+# throughout: no kernel flip.
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -346,6 +352,12 @@ def conv1d(
 
     weight is (out_channels, in_channels, k); output length is
     floor((length + pad_l + pad_r - k) / stride) + 1.
+
+    The lowering follows from the shapes. With stride 1 and fewer output than
+    input channels, the forward pass is one GEMM of the (c_out*k, c_in)
+    weight taps with the padded input followed by a diagonal sum, and the
+    gradients are GEMMs with the im2col of the zero-padded output gradient.
+    Every other conv is one GEMM with the im2col matrix of the padded input.
     """
     if pad_mode not in ("zero", "reflect"):
         raise ValueError(f"unknown pad_mode {pad_mode!r}")
@@ -366,20 +378,42 @@ def conv1d(
     if lp < k:
         raise ValueError(f"padded length {lp} < kernel width {k}")
     xp = _pad_zero(xd, pl, pr) if (pl or pr) else xd
-    cols = _im2col(xp, k, stride)
-    w_mat = w_data.reshape(c_out, c_in * k)
-    y = _matmul(w_mat, cols)
+    narrowing = stride == 1 and c_out < c_in
+    if narrowing:
+        # taps[o, j, s] = sum_c w[o, c, j] * xp[c, s]; y[o, t] = sum_j taps[o, j, t + j]
+        t_out = lp - k + 1
+        taps = _matmul(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp)
+        taps = taps.reshape(c_out, k, lp)
+        y = pool.take((c_out, t_out), taps.dtype)
+        np.copyto(y, taps[:, 0, :t_out])
+        for j in range(1, k):
+            y += taps[:, j, j : j + t_out]
+    else:
+        cols = _im2col(xp, k, stride)
+        w_mat = w_data.reshape(c_out, c_in * k)
+        y = _matmul(w_mat, cols)
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
     def bwd(g):
         out = []
-        if w_id >= 0:
-            out.append((w_id, _matmul(g, cols.T).reshape(w_data.shape)))
+        if narrowing:
+            # gcols[o*k + m, s] = g[o, s + m - (k - 1)], zero outside g
+            gcols = _im2col(_pad_zero(g, k - 1, k - 1), k, 1)
+            if w_id >= 0:
+                gw_rev = _matmul(xp, gcols.T).reshape(c_in, c_out, k)
+                gw = pool.take(w_data.shape, gw_rev.dtype)
+                np.copyto(gw, gw_rev[:, :, ::-1].transpose(1, 0, 2))
+                out.append((w_id, gw))
+            w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+            gx = _matmul(w_rev, gcols)
+        else:
+            if w_id >= 0:
+                out.append((w_id, _matmul(g, cols.T).reshape(w_data.shape)))
+            gcols = _matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
+            gx = _fold(gcols, stride, lp)
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
-        gcols = _matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
-        gx = _fold(gcols, stride, lp)
         if pl or pr:
             gx = gx[:, pl : lp - pr]
         out.append((x_id, gx))

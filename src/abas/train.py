@@ -465,6 +465,11 @@ def _write_tensor(f, name: str, arr: np.ndarray):
 
 def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
                     opt_g: AdamState, opt_d: AdamState, rng_state: dict, step: int) -> Checkpoint:
+    """Write the training state to path atomically and return it as a Checkpoint.
+
+    The returned Checkpoint holds the models' and optimizer states' own
+    arrays, not copies, so it reads any later update to them.
+    """
     params = {p.name: p.data for p in G.parameters() + D.parameters()}
     opt: dict[str, np.ndarray] = {}
     for state, model_params in ((opt_g, G.parameters()), (opt_d, D.parameters())):
@@ -503,11 +508,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return Checkpoint(CKPT_VERSION, config,
-                      {k: v.copy() for k, v in params.items()},
-                      {k: v.copy() for k, v in opt.items()},
-                      {k: v.copy() for k, v in sn_u.items()},
-                      _jsonable(rng_state), step, adam_t)
+    return Checkpoint(CKPT_VERSION, config, params, opt, sn_u, _jsonable(rng_state), step, adam_t)
 
 
 def _jsonable(state):

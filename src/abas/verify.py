@@ -57,6 +57,16 @@ def _op_checks(seed: int):
 
     add_check("conv1d[reflect pad, stride 1]", (conv_reflect, [w2, b2]))
 
+    w3 = Parameter("w3", rng.normal(size=(1, 3, 5)))
+    b3 = Parameter("b3", rng.normal(size=1))
+    x3 = Parameter("x3", rng.normal(size=(3, 20)))
+
+    def conv_narrow():
+        tape = Tape()
+        return tape, _loss_of(ad.conv1d(tape.leaf(x3), w3, b3, stride=1, pad=(2, 3)))
+
+    add_check("conv1d[zero pad, stride 1, c_out 1]", (conv_narrow, [w3, b3, x3]))
+
     wt = Parameter("wt", rng.normal(size=(3, 2, 6)))
     bt = Parameter("bt", rng.normal(size=2))
 

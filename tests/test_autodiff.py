@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,40 @@ from abas.autodiff import Parameter, Tape, Tensor
 
 def leaf(tape, arr):
     return tape.tensor(np.asarray(arr, dtype=np.float64))
+
+
+def conv_reference(x, w, b, stride, pad, pad_mode):
+    """Direct-sum conv1d, one tap at a time; also returns the sum of the
+    absolute values of the terms, the scale of the rounding error."""
+    np_mode = "reflect" if pad_mode == "reflect" else "constant"
+    xp = np.pad(x, ((0, 0), pad), mode=np_mode)
+    k = w.shape[2]
+    t = (xp.shape[1] - k) // stride + 1
+    y = np.zeros((w.shape[0], t)) + b[:, None]
+    scale = np.zeros_like(y) + np.abs(b)[:, None]
+    for j in range(k):
+        window = xp[:, j : j + (t - 1) * stride + 1 : stride]
+        y += w[:, :, j] @ window
+        scale += np.abs(w[:, :, j]) @ np.abs(window)
+    return y, scale
+
+
+@st.composite
+def conv_cases(draw):
+    """conv1d arguments in float64: both channel orderings, so both lowerings."""
+    c_in, c_out = draw(st.integers(1, 6), label="c_in"), draw(st.integers(1, 6), label="c_out")
+    k, stride = draw(st.integers(1, 9), label="k"), draw(st.integers(1, 3), label="stride")
+    pad_mode = draw(st.sampled_from(["zero", "reflect"]), label="pad_mode")
+    pad = (draw(st.integers(0, 8), label="pad_l"), draw(st.integers(0, 8), label="pad_r"))
+    min_len = max(1, k - sum(pad))
+    if pad_mode == "reflect":
+        min_len = max(min_len, pad[0] + 1, pad[1] + 1)
+    length = draw(st.integers(min_len, min_len + 24), label="length")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal((c_in, length))
+    w = rng.standard_normal((c_out, c_in, k))
+    b = rng.standard_normal(c_out)
+    return x, w, b, stride, pad, pad_mode, rng
 
 
 class TestConv1d:
@@ -50,6 +86,66 @@ class TestConv1d:
         )
         assert np.allclose(y.data, [[3.5, 3.5]])
 
+    def test_narrowing_tapeless_memory(self, rng):
+        # G.out at a vocode segment: the (64*65, 16000) im2col matrix would be 266 MB
+        x = rng.standard_normal((64, 16000), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((1, 64, 65), dtype=np.float32))
+        ad.pool.clear()
+        tracemalloc.start()
+        try:
+            y = ad.conv1d(Tensor(x), w, pad=(32, 32), pad_mode="reflect")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.data.shape == (1, 16000)
+        assert peak < 4 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+    def test_narrowing_taped_memory(self, rng):
+        # zero pad: a reflect pad adds the reflect_pad op's own padded output
+        # and its adjoint, two more input-sized arrays that are not the conv's
+        x = rng.standard_normal((64, 1600), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((1, 64, 65), dtype=np.float32))
+        ad.pool.clear()
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            xt = tape.tensor(x)
+            tape.backward(ad.abs_mean_(ad.conv1d(xt, w, pad=(32, 32))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape.grad_of(xt).shape == x.shape
+        assert peak < 4 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+
+class TestConv1dProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_forward_matches_direct_sum(self, case):
+        x, w, b, stride, pad, pad_mode, _ = case
+        y = ad.conv1d(Tensor(x), Parameter("w", w), Parameter("b", b), stride, pad, pad_mode)
+        ref, scale = conv_reference(x, w, b, stride, pad, pad_mode)
+        assert y.data.shape == ref.shape
+        assert np.all(np.abs(y.data - ref) <= 1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_gradients_are_adjoints(self, case):
+        # conv1d is linear in x and in w: <J d, g> = <d, J^T g> for each
+        x, w, _, stride, pad, pad_mode, rng = case
+        wp = Parameter("w", w)
+        tape = Tape()
+        xt = tape.tensor(x)
+        y = ad.conv1d(xt, wp, None, stride, pad, pad_mode)
+        g = rng.standard_normal(y.data.shape)
+        tape.backward(ad.scale_(ad.mean_(ad.mul_(y, Tensor(g))), g.size))  # loss = <y, g>
+        dx, dw = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+        jx = ad.conv1d(Tensor(dx), Parameter("w", w), None, stride, pad, pad_mode).data
+        jw = ad.conv1d(Tensor(x), Parameter("dw", dw), None, stride, pad, pad_mode).data
+        assert float(np.vdot(jx, g)) == pytest.approx(
+            float(np.vdot(dx, tape.grad_of(xt))), rel=1e-10, abs=1e-10)
+        assert float(np.vdot(jw, g)) == pytest.approx(float(np.vdot(dw, wp.grad)), rel=1e-10, abs=1e-10)
+
 
 class TestTconv1d:
     def test_single_tap(self):
@@ -83,20 +179,22 @@ class TestTconv1d:
 
 
 class TestAdjointIdentity:
-    def test_conv_tconv_inner_products(self, rng):
-        for _ in range(10):
-            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            k, s = int(rng.integers(1, 8)), int(rng.integers(1, 4))
-            t = int(rng.integers(2, 9))
-            lx = (t - 1) * s + k
-            x = rng.normal(size=(c_in, lx))
-            w = rng.normal(size=(c_out, c_in, k))
-            y = rng.normal(size=(c_out, t))
-            conv = ad.conv1d(Tensor(x), Parameter("w", w), stride=s)
-            tconv = ad.tconv1d(Tensor(y), Parameter("w", w), stride=s)
-            lhs = float(np.vdot(conv.data, y))
-            rhs = float(np.vdot(x, tconv.data))
-            assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_conv_tconv_inner_products(self, data):
+        c_in, c_out = data.draw(st.integers(1, 6), label="c_in"), data.draw(st.integers(1, 6), label="c_out")
+        k, s = data.draw(st.integers(1, 9), label="k"), data.draw(st.integers(1, 3), label="stride")
+        t = data.draw(st.integers(2, 9), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lx = (t - 1) * s + k
+        x = rng.normal(size=(c_in, lx))
+        w = rng.normal(size=(c_out, c_in, k))
+        y = rng.normal(size=(c_out, t))
+        conv = ad.conv1d(Tensor(x), Parameter("w", w), stride=s)
+        tconv = ad.tconv1d(Tensor(y), Parameter("w", w), stride=s)
+        lhs = float(np.vdot(conv.data, y))
+        rhs = float(np.vdot(x, tconv.data))
+        assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
 
 class TestReflectPad:

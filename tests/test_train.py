@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,20 @@ class TestCheckpoint:
         with pytest.raises(T.ShapeMismatch):
             T.restore_into(ckpt, G, D, T.AdamState(G.parameters()), T.AdamState(D.parameters()))
         assert all(np.array_equal(a, p.data) for a, p in zip(before, G.parameters()))
+
+    def test_save_allocates_no_tensor_copies(self, tmp_path):
+        cfg = T.TrainConfig()
+        G, D = T.build_models(cfg)
+        opt_g, opt_d = T.AdamState(G.parameters()), T.AdamState(D.parameters())
+        tracemalloc.start()
+        try:
+            ckpt = T.save_checkpoint(tmp_path / "a.ckpt", cfg, G, D, opt_g, opt_d, {}, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = sum(a.nbytes for d in (ckpt.params, ckpt.opt, ckpt.sn_u) for a in d.values())
+        assert tensor_bytes > 50e6  # default models with their Adam moments
+        assert peak < 0.1 * tensor_bytes, f"peak {peak} B while saving {tensor_bytes} B"
 
     def test_format_layout(self, tmp_path):
         cfg, _ = self._small_run(tmp_path)
