@@ -34,4 +34,4 @@ for i, s in enumerate(history, 1):
 print(f"\n{config.steps} steps in {elapsed:.1f}s "
       f"({elapsed / config.steps:.2f} s/step at segment {config.segment_len})")
 print(f"outputs: {out_dir}/loss.csv, {out_dir}/step_20.ckpt, {out_dir}/final.ckpt")
-print(f"final checkpoint holds {len(ckpt.params)} named tensors at step {ckpt.step}")
+print(f"final checkpoint holds {len(ckpt.tensors)} named tensors at step {ckpt.step}")

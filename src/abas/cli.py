@@ -52,6 +52,8 @@ def _train_config(args) -> TrainConfig:
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: training config must be a JSON object")
     overrides = {
         "gamma": args.gamma,
         "lr_d": args.lr_d,
@@ -200,16 +202,19 @@ def cmd_grad_check(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    restore_into(ckpt, *build_models(ckpt.config))  # validates every tensor name and shape
+    G, D = build_models(ckpt.config)
+    restore_into(ckpt, G, D)  # validates every tensor name and shape
+    params = G.parameters() + D.parameters()
+    n_sn = len(G.sn_entries() + D.sn_entries())
     _echo("inspect-checkpoint", {"ckpt": args.ckpt})
     print(f"version: {ckpt.version}")
     print(f"step: {ckpt.step}")
     print(f"config: {json.dumps(ckpt.config.to_dict(), sort_keys=True)}")
-    print(f"parameters: {len(ckpt.params)} tensors, "
-          f"{sum(a.size for a in ckpt.params.values())} values")
-    print(f"optimizer tensors: {len(ckpt.opt)}; power-iteration vectors: {len(ckpt.sn_u)}")
-    for name in sorted(ckpt.params):
-        print(f"  {name} {ckpt.params[name].shape}")
+    print(f"parameters: {len(params)} tensors, {sum(p.data.size for p in params)} values")
+    print(f"optimizer tensors: {len(ckpt.tensors) - len(params) - n_sn}; "
+          f"power-iteration vectors: {n_sn}")
+    for p in sorted(params, key=lambda p: p.name):
+        print(f"  {p.name} {p.data.shape}")
     return 0
 
 

@@ -32,7 +32,7 @@ from .nn import (
     GatedConvLayer,
     SpectralNormState,
     TConv1d,
-    matricize,
+    matricize,  # noqa: F401  (re-exported: tests and demos import it from here)
 )
 
 
@@ -121,7 +121,28 @@ class NoiseBundle:
         return cls(rng.standard_normal((channels, m), dtype=np.dtype(dtype)), seed)
 
 
-class Generator:
+class _Layered:
+    """A model whose state comes from one ordered list, ``self.layers``, of conv
+    layers and bare Parameters (PReLU slopes, without spectral norm). Parameter
+    order, spectral-norm order and so the checkpoint layout follow the list."""
+
+    layers: list
+
+    def _normed_layers(self) -> list:
+        return [layer for layer in self.layers if not isinstance(layer, Parameter)]
+
+    def parameters(self) -> list[Parameter]:
+        return [p for layer in self.layers
+                for p in ([layer] if isinstance(layer, Parameter) else layer.parameters())]
+
+    def sn_entries(self) -> list[tuple[str, SpectralNormState, bool]]:
+        return [entry for layer in self._normed_layers() for entry in layer.sn_entries()]
+
+    def num_parameters(self) -> int:
+        return sum(p.data.size for p in self.parameters())
+
+
+class Generator(_Layered):
     """Residual encoder + context decoder + adversarial upsampler."""
 
     def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator, dtype=np.float32):
@@ -135,37 +156,42 @@ class Generator:
         prev = 1
         for i, ch in enumerate(cfg.enc_channels):
             self.enc_convs.append(
-                Conv1d(rng, f"G.enc.down{i}", prev, ch, cfg.down_kernel, 2, (dp, dp), "reflect", True, dtype)
+                Conv1d(rng, f"G.enc.down{i}", prev, ch, cfg.down_kernel, 2, (dp, dp), "reflect", dtype)
             )
             self.enc_slopes.append(
                 Parameter(f"G.enc.down{i}.prelu", np.asarray(PRELU_INIT, dtype=dtype))
             )
             prev = ch
         self.compressor = Conv1d(
-            rng, "G.enc.compress", prev, 1, cfg.gated_kernel, 1, (gp, gp), "reflect", True, dtype
+            rng, "G.enc.compress", prev, 1, cfg.gated_kernel, 1, (gp, gp), "reflect", dtype
         )
         hid = cfg.hidden_channels
-        self.dec_expand = Conv1d(rng, "G.dec.expand", 1, hid, 1, 1, (0, 0), "zero", True, dtype)
+        self.dec_expand = Conv1d(rng, "G.dec.expand", 1, hid, 1, 1, (0, 0), "zero", dtype)
         self.dec_layers = [
-            GatedConvLayer(rng, f"G.dec.gated{i}", hid, hid, cfg.gated_kernel, cfg.gate_kind, True, dtype)
+            GatedConvLayer(rng, f"G.dec.gated{i}", hid, hid, cfg.gated_kernel, cfg.gate_kind, dtype)
             for i in range(cfg.n_decoder_layers)
         ]
         sc, nc = cfg.signal_channels, cfg.noise_channels
         self.up_tconvs = [
-            TConv1d(rng, f"G.up.stage{i}.tconv", hid, sc, cfg.up_kernel, 2, (uc, uc), True, dtype)
+            TConv1d(rng, f"G.up.stage{i}.tconv", hid, sc, cfg.up_kernel, 2, (uc, uc), dtype)
             for i in range(cfg.n_stages)
         ]
         self.up_gated = [
-            GatedConvLayer(rng, f"G.up.stage{i}.gated", sc, sc, cfg.gated_kernel, cfg.gate_kind, True, dtype)
+            GatedConvLayer(rng, f"G.up.stage{i}.gated", sc, sc, cfg.gated_kernel, cfg.gate_kind, dtype)
             for i in range(cfg.n_stages)
         ]
         self.noise_tconvs = [
-            TConv1d(rng, f"G.up.noise{i}", nc, nc, cfg.up_kernel, 2, (uc, uc), True, dtype)
+            TConv1d(rng, f"G.up.noise{i}", nc, nc, cfg.up_kernel, 2, (uc, uc), dtype)
             for i in range(cfg.n_stages)
         ]
         self.out_conv = Conv1d(
-            rng, "G.out", hid, 1, cfg.gated_kernel, 1, (gp, gp), "reflect", True, dtype
+            rng, "G.out", hid, 1, cfg.gated_kernel, 1, (gp, gp), "reflect", dtype
         )
+        self.layers = [
+            *(x for pair in zip(self.enc_convs, self.enc_slopes) for x in pair),
+            self.compressor, self.dec_expand, *self.dec_layers,
+            *self.up_tconvs, *self.up_gated, *self.noise_tconvs, self.out_conv,
+        ]
 
     # -- forward pieces ----------------------------------------------------
 
@@ -215,42 +241,12 @@ class Generator:
     def generate(self, residual: Tensor, noise: NoiseBundle) -> Tensor:
         return self.upsample_adversarial(self.decode_context(self.encode_residual(residual)), noise)
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for conv, slope in zip(self.enc_convs, self.enc_slopes):
-            params += conv.parameters() + [slope]
-        params += self.compressor.parameters() + self.dec_expand.parameters()
-        for layer in self.dec_layers:
-            params += layer.parameters()
-        for group in (self.up_tconvs, self.up_gated, self.noise_tconvs):
-            for layer in group:
-                params += layer.parameters()
-        params += self.out_conv.parameters()
-        return params
-
-    def sn_entries(self) -> list[tuple[str, SpectralNormState, bool]]:
-        entries = []
-        for conv in self.enc_convs:
-            entries += conv.sn_entries()
-        entries += self.compressor.sn_entries() + self.dec_expand.sn_entries()
-        for layer in self.dec_layers:
-            entries += layer.sn_entries()
-        for group in (self.up_tconvs, self.up_gated, self.noise_tconvs):
-            for layer in group:
-                entries += layer.sn_entries()
-        entries += self.out_conv.sn_entries()
-        return entries
-
     def advance_spectral_norm(self):
-        advance_states(self.sn_entries(), {p.name: p for p in self.parameters()})
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
+        for layer in self._normed_layers():
+            layer.advance_spectral_norm()
 
 
-class Discriminator:
+class Discriminator(_Layered):
     """Strided conv stack over (candidate, residual) with a global-mean head."""
 
     def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator, dtype=np.float32):
@@ -261,7 +257,7 @@ class Discriminator:
         prev = 2
         for i, ch in enumerate(cfg.channels):
             self.layers.append(
-                Conv1d(rng, f"D.layer{i}", prev, ch, cfg.kernel, 2, pad, "zero", True, dtype)
+                Conv1d(rng, f"D.layer{i}", prev, ch, cfg.kernel, 2, pad, "zero", dtype)
             )
             prev = ch
 
@@ -282,25 +278,6 @@ class Discriminator:
                 trace.append(x.data.shape)
         return ad.mean_(x)
 
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for conv in self.layers:
-            params += conv.parameters()
-        return params
-
-    def sn_entries(self):
-        entries = []
-        for conv in self.layers:
-            entries += conv.sn_entries()
-        return entries
-
     def advance_spectral_norm(self):
-        advance_states(self.sn_entries(), {p.name: p for p in self.parameters()})
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
-
-def advance_states(entries, params_by_name):
-    for name, state, transpose in entries:
-        state.advance(matricize(params_by_name[name].data, transpose))
+        for layer in self._normed_layers():
+            layer.advance_spectral_norm()

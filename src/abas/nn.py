@@ -94,15 +94,34 @@ def spectral_normalize(
     return tape.record("spectral_normalize", w_norm, bwd)
 
 
-def _weight_view(layer, tape: ad.Tape | None, transpose_in_out: bool = False):
-    """A conv layer's weight, spectral-normalized when the layer carries SN state."""
-    if layer.sn is None:
-        return layer.weight
-    return spectral_normalize(layer.weight, layer.sn, tape, transpose_in_out)
+class _NormedConv:
+    """Xavier-initialized weight, zero bias and the weight's power-iteration state;
+    every call sees the weight through ``spectral_normalize``."""
+
+    transpose_in_out = False  # True where the weight is (in, out, k)
+
+    def __init__(self, rng: np.random.Generator, name: str, c_in: int, c_out: int, k: int, dtype):
+        self.name = name
+        shape = (c_in, c_out, k) if self.transpose_in_out else (c_out, c_in, k)
+        self.weight = Parameter(f"{name}.weight", xavier_init(rng, shape, c_in * k, c_out * k, dtype))
+        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype))
+        self.sn = SpectralNormState(rng, c_out, dtype)
+
+    def normalized_weight(self, tape: ad.Tape | None) -> Tensor:
+        return spectral_normalize(self.weight, self.sn, tape, self.transpose_in_out)
+
+    def advance_spectral_norm(self):
+        self.sn.advance(matricize(self.weight.data, self.transpose_in_out))
+
+    def parameters(self):
+        return [self.weight, self.bias]
+
+    def sn_entries(self):
+        return [(self.weight.name, self.sn, self.transpose_in_out)]
 
 
-class Conv1d:
-    """Conv layer with optional activation and spectral normalization."""
+class Conv1d(_NormedConv):
+    """Spectrally normalized conv layer; weight shaped (out_channels, in_channels, k)."""
 
     def __init__(
         self,
@@ -114,32 +133,22 @@ class Conv1d:
         stride: int = 1,
         pad: tuple[int, int] = (0, 0),
         pad_mode: str = "zero",
-        spectral_norm: bool = True,
         dtype=np.float32,
     ):
-        self.name = name
+        super().__init__(rng, name, c_in, c_out, k, dtype)
         self.stride = stride
         self.pad = pad
         self.pad_mode = pad_mode
-        self.weight = Parameter(
-            f"{name}.weight", xavier_init(rng, (c_out, c_in, k), c_in * k, c_out * k, dtype)
-        )
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype))
-        self.sn = SpectralNormState(rng, c_out, dtype) if spectral_norm else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, _weight_view(self, x.tape), self.bias, self.stride, self.pad,
+        return ad.conv1d(x, self.normalized_weight(x.tape), self.bias, self.stride, self.pad,
                          self.pad_mode)
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-    def sn_entries(self):
-        return [(self.weight.name, self.sn, False)] if self.sn is not None else []
+class TConv1d(_NormedConv):
+    """Spectrally normalized transposed-conv layer; weight shaped (in_channels, out_channels, k)."""
 
-
-class TConv1d:
-    """Transposed-conv layer; weight shaped (in_channels, out_channels, k)."""
+    transpose_in_out = True
 
     def __init__(
         self,
@@ -150,27 +159,14 @@ class TConv1d:
         k: int,
         stride: int = 2,
         crop: tuple[int, int] = (0, 0),
-        spectral_norm: bool = True,
         dtype=np.float32,
     ):
-        self.name = name
+        super().__init__(rng, name, c_in, c_out, k, dtype)
         self.stride = stride
         self.crop = crop
-        self.weight = Parameter(
-            f"{name}.weight", xavier_init(rng, (c_in, c_out, k), c_in * k, c_out * k, dtype)
-        )
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype))
-        self.sn = SpectralNormState(rng, c_out, dtype) if spectral_norm else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        w = _weight_view(self, x.tape, transpose_in_out=True)
-        return ad.tconv1d(x, w, self.bias, self.stride, self.crop)
-
-    def parameters(self):
-        return [self.weight, self.bias]
-
-    def sn_entries(self):
-        return [(self.weight.name, self.sn, True)] if self.sn is not None else []
+        return ad.tconv1d(x, self.normalized_weight(x.tape), self.bias, self.stride, self.crop)
 
 
 class GatedConvLayer:
@@ -191,7 +187,6 @@ class GatedConvLayer:
         c_out: int,
         k: int,
         gate_kind: str = GATE_SOFTMAX,
-        spectral_norm: bool = True,
         dtype=np.float32,
     ):
         if gate_kind not in GATE_KINDS:
@@ -200,20 +195,20 @@ class GatedConvLayer:
             raise ValueError("gated conv kernel width must be odd to preserve length")
         self.gate_kind = gate_kind
         pad = (k // 2, k // 2)
-        self.filter = Conv1d(
-            rng, f"{name}.filter", c_in, c_out, k, 1, pad, "reflect", spectral_norm, dtype
-        )
-        self.gate = Conv1d(
-            rng, f"{name}.gate", c_in, c_out, k, 1, pad, "reflect", spectral_norm, dtype
-        )
+        self.filter = Conv1d(rng, f"{name}.filter", c_in, c_out, k, 1, pad, "reflect", dtype)
+        self.gate = Conv1d(rng, f"{name}.gate", c_in, c_out, k, 1, pad, "reflect", dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         # fused kernel: shared pad + im2col + stacked GEMM for both paths;
         # bit-identical to tanh(self.filter(x)) * gate(self.gate(x))
         return ad.gated_conv_pair(
-            x, _weight_view(self.filter, x.tape), self.filter.bias,
-            _weight_view(self.gate, x.tape), self.gate.bias, self.filter.pad[0], self.gate_kind,
+            x, self.filter.normalized_weight(x.tape), self.filter.bias,
+            self.gate.normalized_weight(x.tape), self.gate.bias, self.filter.pad[0], self.gate_kind,
         )
+
+    def advance_spectral_norm(self):
+        self.filter.advance_spectral_norm()
+        self.gate.advance_spectral_norm()
 
     def parameters(self):
         return self.filter.parameters() + self.gate.parameters()

@@ -13,7 +13,7 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"training config must be a JSON object, not {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown training config fields: {', '.join(unknown)}")
         return cls(**d)
 
 
@@ -212,8 +217,8 @@ def load_corpus(config: TrainConfig) -> list[np.ndarray]:
             raise ValueError(f"corpus empty: no .wav files in {config.corpus}")
         return [read_wav(p).samples for p in paths]
     if config.synthetic is not None:
-        spec = dict(config.synthetic)
-        rng = np.random.default_rng(spec.get("seed", config.seed))
+        spec = config.synthetic
+        rng = np.random.default_rng(config.seed)
         clips = [synthesize_clip(rng, int(spec["clip_len"])) for _ in range(int(spec["n_clips"]))]
         if not clips:
             raise ValueError("corpus empty: synthetic spec with zero clips")
@@ -444,12 +449,31 @@ class TruncatedCheckpoint(CheckpointError):
 class Checkpoint:
     version: int
     config: TrainConfig
-    params: dict[str, np.ndarray]
-    opt: dict[str, np.ndarray]
-    sn_u: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray]  # checkpoint name -> array, in file order
     rng_state: dict
     step: int
     adam_t: dict[str, int]  # optimizer step counters {"g": ..., "d": ...}
+
+
+def state_tensors(G: Generator, D: Discriminator,
+                  opt_g: AdamState | None, opt_d: AdamState | None) -> dict[str, np.ndarray]:
+    """The live arrays of a run by checkpoint name, in file order.
+
+    Parameters of G then D, then ``.m``/``.v``/``.vmax`` per parameter, then
+    ``.sn_u`` per power-iteration vector. A missing optimizer's moments are
+    read-only zero-stride stand-ins of the right shape: a checkpoint must still
+    hold them, but there is nowhere to copy them.
+    """
+    tensors = {p.name: p.data for p in G.parameters() + D.parameters()}
+    for opt, model in ((opt_g, G), (opt_d, D)):
+        for p in model.parameters():
+            if opt is None:
+                moments = [np.broadcast_to(np.zeros((), p.data.dtype), p.data.shape)] * 3
+            else:
+                moments = [opt.m[p.name], opt.v[p.name], opt.vmax[p.name]]
+            tensors.update((p.name + sfx, a) for sfx, a in zip(MOMENT_SUFFIXES, moments))
+    tensors.update((name + ".sn_u", state.u) for name, state, _ in G.sn_entries() + D.sn_entries())
+    return tensors
 
 
 def _write_tensor(f, name: str, arr: np.ndarray):
@@ -470,14 +494,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
     The returned Checkpoint holds the models' and optimizer states' own
     arrays, not copies, so it reads any later update to them.
     """
-    params = {p.name: p.data for p in G.parameters() + D.parameters()}
-    opt: dict[str, np.ndarray] = {}
-    for state, model_params in ((opt_g, G.parameters()), (opt_d, D.parameters())):
-        for p in model_params:
-            opt[p.name + ".m"] = state.m[p.name]
-            opt[p.name + ".v"] = state.v[p.name]
-            opt[p.name + ".vmax"] = state.vmax[p.name]
-    sn_u = {name + ".sn_u": st.u for name, st, _ in G.sn_entries() + D.sn_entries()}
+    tensors = state_tensors(G, D, opt_g, opt_d)
     adam_t = {"g": opt_g.t, "d": opt_d.t}
 
     blob = json.dumps(
@@ -487,7 +504,6 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
             "adam_t": adam_t,
         }
     ).encode("utf-8")
-    tensors = list(params.items()) + list(opt.items()) + list(sn_u.items())
     # write a temp file and rename it over path, so a crash mid-save leaves
     # the previous checkpoint intact and no partial file behind
     path = Path(path)
@@ -499,7 +515,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
             f.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors:
+            for name, arr in tensors.items():
                 _write_tensor(f, name, arr)
             f.write(struct.pack("<Q", step))
             f.flush()
@@ -508,7 +524,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return Checkpoint(CKPT_VERSION, config, params, opt, sn_u, _jsonable(rng_state), step, adam_t)
+    return Checkpoint(CKPT_VERSION, config, tensors, _jsonable(rng_state), step, adam_t)
 
 
 def _jsonable(state):
@@ -554,9 +570,10 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file: magic, version and truncation are checked here;
-    tensor names and shapes are checked by ``restore_into``. Tensors are
-    read-only views into one buffer holding the file."""
+    """Parse a checkpoint file: magic, version, metadata keys, truncation and
+    duplicate tensor names are checked here; tensor names and shapes against
+    an architecture are checked by ``restore_into``. Tensors are read-only
+    views into one buffer holding the file."""
     raw = Path(path).read_bytes()
     r = _Reader(raw)
     if r.read(4) != CKPT_MAGIC:
@@ -567,60 +584,47 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported version {version}; this build reads version {CKPT_VERSION}"
         )
     blob = json.loads(r.read(r.u32()).decode("utf-8"))
+    for key in ("config", "rng_state", "adam_t"):
+        if key not in blob:
+            raise CheckpointError(f"checkpoint metadata lacks {key!r}")
     config = TrainConfig.from_dict(blob["config"])
     n_tensors = r.u32()
-    params, opt, sn_u = {}, {}, {}
+    tensors = {}
     for _ in range(n_tensors):
         name = r.read(r.u16()).decode("utf-8")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} appears twice")
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = r.floats(count).reshape(shape)
-        if name.endswith(".sn_u"):
-            sn_u[name] = arr
-        elif name.endswith(MOMENT_SUFFIXES):
-            opt[name] = arr
-        else:
-            params[name] = arr
+        tensors[name] = r.floats(count).reshape(shape)
     step = r.u64()
-    adam_t = blob.get("adam_t", {"g": step, "d": step})
-    return Checkpoint(version, config, params, opt, sn_u, blob["rng_state"], step, adam_t)
+    return Checkpoint(version, config, tensors, blob["rng_state"], step, blob["adam_t"])
 
 
 def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
                  opt_g: AdamState | None = None, opt_d: AdamState | None = None):
     """Copy checkpoint values into freshly built models (and optimizer states).
 
-    Every tensor in the file must name a parameter, optimizer moment or
-    power-iteration vector of these models with the same shape, and every one
-    of those must be present, optimizer moments included when no optimizer
-    is given; otherwise ShapeMismatch is raised and nothing is copied.
+    The file must hold exactly the tensors ``state_tensors`` names for these
+    models, with the same shapes, optimizer moments included when no
+    optimizer is given; otherwise ShapeMismatch is raised and nothing is copied.
     """
-    params = G.parameters() + D.parameters()
-    sn = {name + ".sn_u": state for name, state, _ in G.sn_entries() + D.sn_entries()}
-    expected = {p.name + sfx: p.data.shape for p in params for sfx in ("",) + MOMENT_SUFFIXES}
-    expected.update((key, state.u.shape) for key, state in sn.items())
-    found = {**ckpt.params, **ckpt.opt, **ckpt.sn_u}
-    for name, arr in found.items():
-        if name not in expected:
+    live = state_tensors(G, D, opt_g, opt_d)
+    for name, arr in ckpt.tensors.items():
+        if name not in live:
             raise ShapeMismatch(f"unexpected tensor {name!r} for this architecture")
-        if arr.shape != expected[name]:
+        if arr.shape != live[name].shape:
             raise ShapeMismatch(
-                f"shape mismatch for {name!r}: file {arr.shape}, architecture {expected[name]}"
+                f"shape mismatch for {name!r}: file {arr.shape}, architecture {live[name].shape}"
             )
-    missing = sorted(set(expected) - set(found))
+    missing = sorted(set(live) - set(ckpt.tensors))
     if missing:
         raise ShapeMismatch(f"{len(missing)} tensors missing, first {missing[0]!r}")
 
-    for p in params:
-        p.data[...] = ckpt.params[p.name]
-    for key, state in sn.items():
-        state.u = ckpt.sn_u[key].astype(state.u.dtype)
-    for opt, model, key in ((opt_g, G, "g"), (opt_d, D, "d")):
-        if opt is None:
-            continue
-        opt.t = int(ckpt.adam_t[key])
-        for p in model.parameters():
-            opt.m[p.name][...] = ckpt.opt[p.name + ".m"]
-            opt.v[p.name][...] = ckpt.opt[p.name + ".v"]
-            opt.vmax[p.name][...] = ckpt.opt[p.name + ".vmax"]
+    for name, dst in live.items():
+        if dst.flags.writeable:  # False only for a missing optimizer's stand-ins
+            dst[...] = ckpt.tensors[name]
+    for opt, key in ((opt_g, "g"), (opt_d, "d")):
+        if opt is not None:
+            opt.t = int(ckpt.adam_t[key])

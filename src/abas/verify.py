@@ -122,7 +122,7 @@ def _op_checks(seed: int):
 
     for gate in ("softmax_channel", "sigmoid"):
         layer = nn.GatedConvLayer(
-            np.random.default_rng(seed + 1), f"gc_{gate}", 4, 3, 5, gate, True, np.float64
+            np.random.default_rng(seed + 1), f"gc_{gate}", 4, 3, 5, gate, np.float64
         )
 
         def make(layer=layer):
@@ -132,7 +132,7 @@ def _op_checks(seed: int):
         add_check(f"gated_conv[{gate}]", (make, layer.parameters()))
 
     sn_conv = nn.Conv1d(
-        np.random.default_rng(seed + 2), "snc", 4, 3, 4, 2, (1, 1), "zero", True, np.float64
+        np.random.default_rng(seed + 2), "snc", 4, 3, 4, 2, (1, 1), "zero", np.float64
     )
 
     def make_sn():
@@ -141,7 +141,7 @@ def _op_checks(seed: int):
 
     add_check("spectral_normalized_conv", (make_sn, sn_conv.parameters()))
 
-    sn_tconv = nn.TConv1d(np.random.default_rng(seed + 3), "snt", 4, 3, 6, 2, (2, 2), True, np.float64)
+    sn_tconv = nn.TConv1d(np.random.default_rng(seed + 3), "snt", 4, 3, 6, 2, (2, 2), np.float64)
 
     def make_snt():
         tape = Tape()

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -45,17 +46,35 @@ CHECKPOINT_DEFECTS = {
 }
 
 
-def rewrite_checkpoint(src, dst, edit):
-    """Copy checkpoint src to dst with its tensor dict changed in place by edit."""
+# Edits of a checkpoint's JSON blob or (name, array) list that load_checkpoint
+# must reject, each with a text its error message names.
+LOAD_DEFECTS = {
+    "missing_config": (lambda blob, pairs: blob.pop("config"), "'config'"),
+    "missing_rng_state": (lambda blob, pairs: blob.pop("rng_state"), "'rng_state'"),
+    "unknown_config_field": (lambda blob, pairs: blob["config"].update(frobnicate=1), "frobnicate"),
+    "duplicate_tensor": (lambda blob, pairs: pairs.append(pairs[0]), "'G.enc.down0.weight'"),
+}
+
+
+def rewrite_checkpoint(src, dst, edit=None, edit_file=None):
+    """Copy checkpoint src to dst, with its tensor dict changed in place by
+    ``edit``, then its JSON blob and (name, array) list by ``edit_file``."""
     raw = src.read_bytes()
-    head = raw[: 12 + struct.unpack("<I", raw[8:12])[0]]  # magic, version, JSON blob
+    blob = json.loads(raw[12 : 12 + struct.unpack("<I", raw[8:12])[0]])
     ckpt = T.load_checkpoint(src)
-    tensors = {**ckpt.params, **ckpt.opt, **ckpt.sn_u}
-    edit(tensors)
+    tensors = dict(ckpt.tensors)
+    if edit is not None:
+        edit(tensors)
+    pairs = list(tensors.items())
+    if edit_file is not None:
+        edit_file(blob, pairs)
+    data = json.dumps(blob).encode("utf-8")
     with open(dst, "wb") as f:
-        f.write(head)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
+        f.write(raw[:8])  # magic, version
+        f.write(struct.pack("<I", len(data)))
+        f.write(data)
+        f.write(struct.pack("<I", len(pairs)))
+        for name, arr in pairs:
             T._write_tensor(f, name, arr)
         f.write(struct.pack("<Q", ckpt.step))
     return dst

@@ -274,6 +274,20 @@ class TestPointwise:
         y = ad.leaky_relu_(Tensor(np.array([[-1.0, 1.0]])))
         assert np.allclose(y.data, [[-0.2, 1.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.2, 0.25, 0.1234567, 1.0, 1.7, 0.0, -0.3])
+    def test_rectifiers_bitwise_match_where(self, rng, dtype, slope):
+        # signed zeros, infinities, NaN, subnormal and huge magnitudes
+        x = rng.normal(size=(5, 400)) * rng.choice([1e-40, 1e-3, 1.0, 1e30], size=(5, 400))
+        x = x.astype(dtype)
+        x[0, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan]
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.where(x > 0, x, slope * x)
+            got_leaky = ad.leaky_relu_(Tensor(x), slope).data
+            got_prelu = ad.prelu_(Tensor(x), Parameter("s", np.asarray(slope, dtype))).data
+        assert want.tobytes() == got_leaky.tobytes() == got_prelu.tobytes()
+        assert np.maximum(x, 0).tobytes() == ad.relu_(Tensor(x)).data.tobytes()
+
     def test_concat(self, rng):
         a = Tensor(rng.normal(size=(32, 2000)).astype(np.float32))
         b = Tensor(rng.normal(size=(32, 2000)).astype(np.float32))

@@ -7,7 +7,7 @@ from abas import cli
 from abas.metrics import l1_distance, log_spectral_distance, ssnr
 from abas.train import gen_synthetic_corpus
 from abas.wavio import read_wav
-from conftest import CHECKPOINT_DEFECTS, rewrite_checkpoint
+from conftest import CHECKPOINT_DEFECTS, LOAD_DEFECTS, rewrite_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -158,6 +158,19 @@ class TestTrainCommand:
         echoed = capsys.readouterr().out
         assert '"gamma": 0.5' in echoed
 
+    @pytest.mark.parametrize("config,named", [
+        ({"steps": 1, "segmnt_len": 528}, "segmnt_len"),
+        ([1], "JSON object"),
+    ], ids=["unknown_field", "not_an_object"])
+    def test_bad_config_file_exits_3(self, tmp_path, capsys, config, named):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        rc = cli.main(["train", "--config", str(cfg_file), "--steps", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_resume_missing_moment_exits_3(self, trained, corpus_dir, tmp_path, capsys):
         bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["missing_moment"])
         rc = cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
@@ -282,6 +295,13 @@ class TestInspect:
     def test_mis_shaped_exit_code(self, trained, tmp_path):
         bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["wrong_shape"])
         assert cli.main(["inspect-checkpoint", "--ckpt", str(bad)]) == 3
+
+    @pytest.mark.parametrize("defect", sorted(LOAD_DEFECTS))
+    def test_bad_metadata_exit_code(self, trained, tmp_path, capsys, defect):
+        edit, named = LOAD_DEFECTS[defect]
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", edit_file=edit)
+        assert cli.main(["inspect-checkpoint", "--ckpt", str(bad)]) == 3
+        assert named in capsys.readouterr().err
 
     def test_bad_magic_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -9,20 +9,20 @@ from abas.model import matricize
 
 class TestGatedConv:
     def test_zero_filter_weights(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 4, 3, 7, nn.GATE_SOFTMAX, False, np.float64)
+        layer = nn.GatedConvLayer(rng, "g", 4, 3, 7, nn.GATE_SOFTMAX, np.float64)
         layer.filter.weight.data[...] = 0
         out = layer(Tensor(rng.normal(size=(4, 16))))
         assert np.allclose(out.data, 0.0)
 
     def test_single_output_channel_softmax_gate_is_identity(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 4, 1, 7, nn.GATE_SOFTMAX, False, np.float64)
+        layer = nn.GatedConvLayer(rng, "g", 4, 1, 7, nn.GATE_SOFTMAX, np.float64)
         x = Tensor(rng.normal(size=(4, 16)))
         out = layer(x)
         filt = ad.tanh_(layer.filter(x))
         assert np.allclose(out.data, filt.data)
 
     def test_output_bounded(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 2, 5, 7, nn.GATE_SOFTMAX, True, np.float32)
+        layer = nn.GatedConvLayer(rng, "g", 2, 5, 7, nn.GATE_SOFTMAX, np.float32)
         x = Tensor(rng.normal(size=(2, 40)).astype(np.float32) * 5)
         out = layer(x)
         assert np.max(np.abs(out.data)) <= 5.0
@@ -31,7 +31,7 @@ class TestGatedConv:
 
     @pytest.mark.parametrize("gate_kind", nn.GATE_KINDS)
     def test_fused_gate_matches_direct_composition(self, rng, gate_kind):
-        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, gate_kind, False, np.float64)
+        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, gate_kind, np.float64)
         x = Tensor(rng.normal(size=(3, 20)))
         out = layer(x)
         if gate_kind == nn.GATE_SOFTMAX:
@@ -42,16 +42,18 @@ class TestGatedConv:
         assert np.array_equal(out.data, direct.data)
         tape = Tape()
         layer(tape.tensor(x.data))
-        assert [rec[0] for rec in tape._records] == ["gated_conv_pair"]
+        assert [rec[0] for rec in tape._records] == [
+            "spectral_normalize", "spectral_normalize", "gated_conv_pair"
+        ]
 
     def test_length_preserved(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 2, 2, 65, nn.GATE_SOFTMAX, True, np.float32)
+        layer = nn.GatedConvLayer(rng, "g", 2, 2, 65, nn.GATE_SOFTMAX, np.float32)
         for L in (33, 64, 100, 1000):
             out = layer(Tensor(rng.normal(size=(2, L)).astype(np.float32)))
             assert out.data.shape == (2, L)
 
     def test_channel_mismatch(self, rng):
-        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, nn.GATE_SOFTMAX, False, np.float32)
+        layer = nn.GatedConvLayer(rng, "g", 3, 4, 7, nn.GATE_SOFTMAX, np.float32)
         with pytest.raises(ValueError, match="channel mismatch"):
             layer(Tensor(np.zeros((2, 20), np.float32)))
 
@@ -166,7 +168,7 @@ class TestLayerPlumbing:
         assert len(names) == len(set(names)) == 4
 
     def test_sn_entries_expose_states(self, rng):
-        conv = nn.Conv1d(rng, "c", 2, 3, 5, spectral_norm=True)
+        conv = nn.Conv1d(rng, "c", 2, 3, 5)
         (name, state, transpose), = conv.sn_entries()
         assert name == "c.weight" and not transpose
         tconv = nn.TConv1d(rng, "t", 2, 3, 6)

@@ -17,7 +17,7 @@ from abas.model import (
     NoiseBundle,
 )
 from abas.wavio import read_wav
-from conftest import CHECKPOINT_DEFECTS, rewrite_checkpoint
+from conftest import CHECKPOINT_DEFECTS, LOAD_DEFECTS, rewrite_checkpoint
 
 
 def tiny_setup(cfg, model_seed=3):
@@ -371,13 +371,45 @@ class TestCheckpoint:
         loaded = T.load_checkpoint(tmp_path / "final.ckpt")
         assert loaded.step == cfg.steps
         assert loaded.config == cfg
-        assert set(loaded.params) == set(ckpt.params)
-        for name, arr in ckpt.params.items():
-            assert np.array_equal(loaded.params[name], arr)
-        for name, arr in ckpt.opt.items():
-            assert np.array_equal(loaded.opt[name], arr)
-        for name, arr in ckpt.sn_u.items():
-            assert np.array_equal(loaded.sn_u[name], arr)
+        assert list(loaded.tensors) == list(ckpt.tensors)
+        for name, arr in ckpt.tensors.items():
+            assert np.array_equal(loaded.tensors[name], arr)
+
+    def test_tensor_order(self, one_step_ckpt):
+        # the README's layout: every parameter, then .m/.v/.vmax per
+        # parameter, then .sn_u per power-iteration vector
+        raw = one_step_ckpt.read_bytes()
+        pos = 12 + struct.unpack("<I", raw[8:12])[0]
+        (count,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        names = []
+        for _ in range(count):
+            (length,) = struct.unpack_from("<H", raw, pos)
+            names.append(raw[pos + 2 : pos + 2 + length].decode("utf-8"))
+            pos += 2 + length
+            rank = raw[pos]
+            shape = struct.unpack_from(f"<{rank}I", raw, pos + 1)
+            pos += 1 + 4 * rank + 4 * int(np.prod(shape))
+        assert pos == len(raw) - 8
+        G, D = T.build_models(T.load_checkpoint(one_step_ckpt).config)
+        params = [p.name for p in G.parameters() + D.parameters()]
+        moments = [name + sfx for name in params for sfx in (".m", ".v", ".vmax")]
+        sn_u = [name + ".sn_u" for name, _, _ in G.sn_entries() + D.sn_entries()]
+        assert names == params + moments + sn_u
+
+    @pytest.mark.parametrize("defect", sorted(LOAD_DEFECTS))
+    def test_load_rejects_bad_metadata(self, one_step_ckpt, tmp_path, defect):
+        edit, named = LOAD_DEFECTS[defect]
+        bad = rewrite_checkpoint(one_step_ckpt, tmp_path / "bad.ckpt", edit_file=edit)
+        error = ValueError if defect == "unknown_config_field" else T.CheckpointError
+        with pytest.raises(error, match=named):
+            T.load_checkpoint(bad)
+
+    def test_config_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unknown training config fields: bogus, nope"):
+            T.TrainConfig.from_dict({"steps": 1, "nope": 1, "bogus": 2})
+        with pytest.raises(ValueError, match="must be a JSON object, not list"):
+            T.TrainConfig.from_dict([1])
 
     def test_bad_magic(self, tmp_path):
         cfg, _ = self._small_run(tmp_path)
@@ -448,7 +480,7 @@ class TestCheckpoint:
         assert ckpt.config.gate_kind == "sigmoid"
         G, D = T.build_models(T.TrainConfig.from_dict({**cfg.to_dict(), "gate_kind": "softmax_channel"}))
         T.restore_into(ckpt, G, D)  # same shapes, no error
-        assert all(np.array_equal(p.data, ckpt.params[p.name]) for p in G.parameters()[:3])
+        assert all(np.array_equal(p.data, ckpt.tensors[p.name]) for p in G.parameters()[:3])
 
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_restore_rejects_mismatch(self, one_step_ckpt, tmp_path, defect):
@@ -470,7 +502,7 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tensor_bytes = sum(a.nbytes for d in (ckpt.params, ckpt.opt, ckpt.sn_u) for a in d.values())
+        tensor_bytes = sum(a.nbytes for a in ckpt.tensors.values())
         assert tensor_bytes > 50e6  # default models with their Adam moments
         assert peak < 0.1 * tensor_bytes, f"peak {peak} B while saving {tensor_bytes} B"
 
@@ -531,12 +563,9 @@ class TestTrainLoop:
         T.train_loop(cfg_a, tmp_path / "resumed", resume_from=tmp_path / "half" / "final.ckpt")
         full = T.load_checkpoint(tmp_path / "full" / "final.ckpt")
         resumed = T.load_checkpoint(tmp_path / "resumed" / "final.ckpt")
-        for name in full.params:
-            assert np.array_equal(full.params[name], resumed.params[name]), name
-        for name in full.opt:
-            assert np.array_equal(full.opt[name], resumed.opt[name]), name
-        for name in full.sn_u:
-            assert np.array_equal(full.sn_u[name], resumed.sn_u[name]), name
+        assert list(full.tensors) == list(resumed.tensors)
+        for name in full.tensors:
+            assert np.array_equal(full.tensors[name], resumed.tensors[name]), name
 
     def test_empty_corpus(self, tmp_path):
         cfg = T.TrainConfig(
