@@ -587,20 +587,14 @@ def sigmoid_(x: Tensor) -> Tensor:
     return _emit(x.tape, "sigmoid", y, lambda g: [(x_id, _sigmoid_vjp(g, y))])
 
 
-def _leaky(xd: np.ndarray, slope: float) -> np.ndarray:
-    """Bitwise ``np.where(xd > 0, xd, slope * xd)`` in a pool buffer. For slope > 0
-    it is the max (slope <= 1) or min (slope > 1) of xd and slope * xd, which runs
-    branch-free and far faster; for slope <= 0 max/min would flip zeros' signs."""
-    y = np.multiply(xd, xd.dtype.type(slope), out=pool.take(xd.shape, xd.dtype))
-    if slope > 0:
-        return (np.maximum if slope <= 1 else np.minimum)(y, xd, out=y)
-    np.copyto(y, xd, where=xd > 0)
-    return y
-
-
 def _slope_mask(xd: np.ndarray, slope: float) -> np.ndarray:
     # dtype-preserving so float32 backward passes stay float32
     return np.where(xd > 0, xd.dtype.type(1.0), xd.dtype.type(slope))
+
+
+def _leaky(xd: np.ndarray, slope: float) -> np.ndarray:
+    """Bitwise ``np.where(xd > 0, xd, slope * xd)`` in a pool buffer."""
+    return np.multiply(xd, _slope_mask(xd, slope), out=pool.take(xd.shape, xd.dtype))
 
 
 def prelu_(x: Tensor, slope: Parameter) -> Tensor:

@@ -124,7 +124,9 @@ class NoiseBundle:
 class _Layered:
     """A model whose state comes from one ordered list, ``self.layers``, of conv
     layers and bare Parameters (PReLU slopes, without spectral norm). Parameter
-    order, spectral-norm order and so the checkpoint layout follow the list."""
+    order, spectral-norm order and so the checkpoint layout follow the list.
+    Every layer the forward pass uses must appear in ``self.layers``: one left
+    out would train without being saved or having its spectral norm advanced."""
 
     layers: list
 

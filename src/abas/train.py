@@ -622,8 +622,10 @@ def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
     if missing:
         raise ShapeMismatch(f"{len(missing)} tensors missing, first {missing[0]!r}")
 
+    stand_ins = {p.name + sfx for opt, model in ((opt_g, G), (opt_d, D)) if opt is None
+                 for p in model.parameters() for sfx in MOMENT_SUFFIXES}
     for name, dst in live.items():
-        if dst.flags.writeable:  # False only for a missing optimizer's stand-ins
+        if name not in stand_ins:
             dst[...] = ckpt.tensors[name]
     for opt, key in ((opt_g, "g"), (opt_d, "d")):
         if opt is not None:

@@ -3,7 +3,7 @@ import pytest
 
 from abas import autodiff as ad
 from abas import train as T
-from abas.autodiff import Tape, Tensor
+from abas.autodiff import Parameter, Tape, Tensor
 from abas.model import (
     Discriminator,
     DiscriminatorConfig,
@@ -12,6 +12,7 @@ from abas.model import (
     NoiseBundle,
     matricize,
 )
+from abas.nn import GATE_KINDS, SpectralNormState
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,39 @@ class TestDiscriminator:
         _, D = production
         with pytest.raises(ValueError, match="length mismatch"):
             D.discriminate(Tensor(np.zeros((1, 1600), np.float32)), Tensor(np.zeros((1, 800), np.float32)))
+
+
+def _reachable(obj, kind, seen=None) -> list:
+    """Every instance of kind reachable from obj through attributes and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, np.ndarray):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, kind):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        children = obj
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return []
+    return [found for child in children for found in _reachable(child, kind, seen)]
+
+
+class TestInventory:
+    """``self.layers`` must list every layer a model holds, or that layer would
+    train without being saved or having its spectral norm advanced."""
+
+    @pytest.mark.parametrize("gate_kind", sorted(GATE_KINDS))
+    def test_every_held_tensor_is_listed(self, gate_kind):
+        rng = np.random.default_rng(0)
+        G = Generator(GeneratorConfig.tiny(gate_kind=gate_kind), rng)
+        D = Discriminator(DiscriminatorConfig.tiny(), rng)
+        for model in (G, D):
+            held = _reachable(model, Parameter)
+            assert held and {id(p) for p in held} == {id(p) for p in model.parameters()}
+            held = _reachable(model, SpectralNormState)
+            assert held and {id(s) for s in held} == {id(s) for _, s, _ in model.sn_entries()}
 
 
 class TestSpectralNormAdvance:

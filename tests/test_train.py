@@ -482,6 +482,13 @@ class TestCheckpoint:
         T.restore_into(ckpt, G, D)  # same shapes, no error
         assert all(np.array_equal(p.data, ckpt.tensors[p.name]) for p in G.parameters()[:3])
 
+    def test_restore_into_read_only_destination_raises(self, one_step_ckpt):
+        ckpt = T.load_checkpoint(one_step_ckpt)
+        G, D = T.build_models(ckpt.config)
+        G.parameters()[0].data.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            T.restore_into(ckpt, G, D)
+
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_restore_rejects_mismatch(self, one_step_ckpt, tmp_path, defect):
         bad = rewrite_checkpoint(one_step_ckpt, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS[defect])
