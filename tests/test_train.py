@@ -472,6 +472,27 @@ class TestCheckpoint:
         with pytest.raises(T.TruncatedCheckpoint):
             T.load_checkpoint(bad)
 
+    def test_empty_file_is_truncated(self, tmp_path):
+        # an empty file cannot be memory-mapped; it must still read as truncated
+        (tmp_path / "empty.ckpt").write_bytes(b"")
+        with pytest.raises(T.TruncatedCheckpoint):
+            T.load_checkpoint(tmp_path / "empty.ckpt")
+
+    def test_loaded_tensors_outlive_a_save_over_the_file(self, one_step_ckpt, tmp_path):
+        # tensors map the file; an atomic save replaces the file, not its bytes
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(one_step_ckpt.read_bytes())
+        ckpt = T.load_checkpoint(path)
+        before = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+        assert not any(arr.flags.writeable for arr in ckpt.tensors.values())
+        G, D = T.build_models(ckpt.config)
+        for p in G.parameters() + D.parameters():
+            p.data += 1
+        T.save_checkpoint(path, ckpt.config, G, D, T.AdamState(G.parameters()),
+                          T.AdamState(D.parameters()), ckpt.rng_state, ckpt.step + 1)
+        assert T.load_checkpoint(path).step == ckpt.step + 1
+        assert all(np.array_equal(before[name], arr) for name, arr in ckpt.tensors.items())
+
     def test_cross_gate_load_accepted(self, tmp_path):
         # sigmoid-gate checkpoint loads into a softmax run: same shapes,
         # provenance preserved in the embedded config
