@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from abas import dsp, metrics
-from abas.autodiff import Tensor
-from abas.model import NoiseBundle
 from abas.train import TrainConfig, build_models, load_checkpoint, restore_into, synthesize_clip, train_loop
 
 work = Path(tempfile.mkdtemp(prefix="abas_demo_vocode_"))
@@ -36,18 +34,9 @@ signal = dsp.AudioSignal(clip)
 track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
 print(f"\ninput: {len(signal)} samples -> {len(track.frames)} LPC frames")
 
-# segment-wise generation over the residual, at the scale G was trained on
-seg = config.segment_len
-n_segs = -(-len(residual.samples) // seg)
-padded = np.zeros(n_segs * seg, dtype=np.float32)
-padded[: len(residual.samples)] = residual.samples
-padded *= ckpt.cond_scale
-rng = np.random.default_rng(2)
-fake = np.empty_like(padded)
-for i in range(n_segs):
-    z = NoiseBundle.draw(rng, G.cfg.noise_channels, seg // G.cfg.compression)
-    piece = G.generate(Tensor(padded[None, i * seg : (i + 1) * seg]), z)
-    fake[i * seg : (i + 1) * seg] = piece.data[0]
+# segment-wise generation over the residual; restore_into gave G the
+# conditioning scale it was trained with
+fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(2))
 fake_sig = dsp.AudioSignal(fake[: track.coverage], role=dsp.ROLE_FAKE)
 
 refined = dsp.cross_synthesize(fake_sig, track)

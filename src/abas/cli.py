@@ -17,8 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, metrics
-from .autodiff import Tensor
-from .model import NoiseBundle
 from .train import (
     CheckpointError,
     TrainConfig,
@@ -86,25 +84,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _generate_fake(G, config, residual: np.ndarray, seed: int, cond_scale: float) -> np.ndarray:
-    """Segment-wise generation over the (zero-padded) residual, scaled by the
-    conditioning scale the checkpoint's network was trained with."""
-    seg = config.segment_len
-    n = len(residual)
-    n_segs = -(-n // seg)
-    padded = np.zeros(n_segs * seg, dtype=np.float32)
-    padded[:n] = residual
-    padded *= cond_scale
-    rng = np.random.default_rng(seed)
-    out = np.empty_like(padded)
-    m = seg // G.cfg.compression
-    for i in range(n_segs):
-        z = NoiseBundle.draw(rng, G.cfg.noise_channels, m)
-        piece = G.generate(Tensor(padded[i * seg : (i + 1) * seg][None, :]), z)
-        out[i * seg : (i + 1) * seg] = piece.data[0]
-    return out[:n]
-
-
 def cmd_vocode(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     config = ckpt.config
@@ -120,7 +99,7 @@ def cmd_vocode(args) -> int:
     restore_into(ckpt, G, D)
 
     track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
-    fake = _generate_fake(G, config, residual.samples, args.seed, ckpt.cond_scale)
+    fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(args.seed))
     fake_sig = dsp.AudioSignal(fake[: track.coverage], role=dsp.ROLE_FAKE)
     if args.skip_cross_synth:
         out = fake_sig

@@ -12,11 +12,13 @@ softmax every layer would shrink it about 64-fold, to subnormal floats.
 Discriminator = strided conv stack over the 2-channel (candidate, residual)
 concatenation, spectral-normalized throughout, global mean as the score.
 
-Both networks expect the conditioning residual at unit scale: callers multiply
-it by one fixed constant, ``train.conditioning_scale`` (1 / RMS of the
-training corpus's residuals), which the checkpoint stores so vocoding applies
-the same value. At its natural RMS of about 0.02 the residual fades through
-the spectrally normalised layers, each of gain <= 1, and the output ignores it.
+Both networks take the conditioning residual at its natural scale and multiply
+it by their own ``cond_scale`` where it enters: G before its encoder, D before
+the concat. Training sets it to ``train.conditioning_scale`` (1 / RMS of the
+training corpus's residuals), the checkpoint stores it, and ``restore_into``
+sets it again, so no caller scales the residual. At its natural RMS of about
+0.02 the residual would fade through the spectrally normalised layers, each of
+gain <= 1, and the output would ignore it.
 
 Everything is fully convolutional: any input length that is a multiple of the
 compression factor and at least ``min_input_length`` works.
@@ -119,12 +121,10 @@ class NoiseBundle:
     """Base Gaussian draw feeding the upsampler's noise branch."""
 
     base: np.ndarray
-    seed: int | None = None
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, channels: int, m: int, dtype=np.float32,
-             seed: int | None = None) -> "NoiseBundle":
-        return cls(rng.standard_normal((channels, m), dtype=np.dtype(dtype)), seed)
+    def draw(cls, rng: np.random.Generator, channels: int, m: int, dtype=np.float32) -> "NoiseBundle":
+        return cls(rng.standard_normal((channels, m), dtype=np.dtype(dtype)))
 
 
 class _Layered:
@@ -135,6 +135,7 @@ class _Layered:
     out would train without being saved or having its spectral norm advanced."""
 
     layers: list
+    cond_scale: float = 1.0  # the residual's gain on entry, see the module docstring
 
     def _normed_layers(self) -> list:
         return [layer for layer in self.layers if not isinstance(layer, Parameter)]
@@ -212,7 +213,7 @@ class Generator(_Layered):
             raise ValueError(
                 f"input length {x.length} below minimum {self.cfg.min_input_length}"
             )
-        h = x
+        h = ad.scale_(x, self.cond_scale)
         for conv, slope in zip(self.enc_convs, self.enc_slopes):
             h = ad.prelu_(conv(h), slope)
             if trace is not None:
@@ -249,6 +250,22 @@ class Generator(_Layered):
     def generate(self, residual: Tensor, noise: NoiseBundle) -> Tensor:
         return self.upsample_adversarial(self.decode_context(self.encode_residual(residual)), noise)
 
+    def generate_segments(self, residual: np.ndarray, segment_len: int,
+                          rng: np.random.Generator) -> np.ndarray:
+        """Generate over a residual of any length, one ``segment_len`` piece at a
+        time: zero-pad to whole segments, draw each segment's noise from ``rng``
+        in order, and trim the output to the residual's length."""
+        n = len(residual)
+        padded = np.zeros(-(-n // segment_len) * segment_len, dtype=self.dtype)
+        padded[:n] = residual
+        out = np.empty_like(padded)
+        m = segment_len // self.cfg.compression
+        for i in range(0, len(padded), segment_len):
+            z = NoiseBundle.draw(rng, self.cfg.noise_channels, m, self.dtype)
+            piece = self.generate(Tensor(padded[None, i : i + segment_len]), z)
+            out[i : i + segment_len] = piece.data[0]
+        return out[:n]
+
     def advance_spectral_norm(self):
         for layer in self._normed_layers():
             layer.advance_spectral_norm()
@@ -276,7 +293,7 @@ class Discriminator(_Layered):
             raise ValueError(
                 f"length mismatch: candidate {candidate.length}, residual {residual.length}"
             )
-        x = ad.concat_channels_(candidate, residual)
+        x = ad.concat_channels_(candidate, ad.scale_(residual, self.cond_scale))
         last = len(self.layers) - 1
         for i, conv in enumerate(self.layers):
             x = conv(x)

@@ -80,6 +80,11 @@ class TrainConfig:
             raise ValueError(f"unknown gate kind {self.gate_kind!r}")
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
+        spec = self.synthetic
+        if spec is not None and (not isinstance(spec, dict) or set(spec) != {"n_clips", "clip_len"}
+                                 or any(type(v) is not int or v < 1 for v in spec.values())):
+            raise ValueError('synthetic spec must be {"n_clips": int, "clip_len": int}, '
+                             f"both positive; got {spec!r}")
         self.betas = tuple(self.betas)
 
     @property
@@ -223,10 +228,7 @@ def load_corpus(config: TrainConfig) -> list[np.ndarray]:
     if config.synthetic is not None:
         spec = config.synthetic
         rng = np.random.default_rng(config.seed)
-        clips = [synthesize_clip(rng, int(spec["clip_len"])) for _ in range(int(spec["n_clips"]))]
-        if not clips:
-            raise ValueError("corpus empty: synthetic spec with zero clips")
-        return clips
+        return [synthesize_clip(rng, spec["clip_len"]) for _ in range(spec["n_clips"])]
     raise ValueError("config names neither a corpus directory nor a synthetic spec")
 
 
@@ -278,8 +280,8 @@ def residuals_for(clips: list[np.ndarray], order: int, frame_len: int) -> list[n
 def conditioning_scale(residuals: list[np.ndarray]) -> float:
     """1 / RMS of a corpus's residuals, pooled over every sample of every clip.
 
-    The conditioning residual is multiplied by this one constant wherever it
-    enters G or D, in training and in vocoding, so it reaches the
+    G and D multiply the conditioning residual by this one constant where it
+    enters them, in training and in vocoding, so it reaches the
     spectrally normalised layers (gain <= 1 each) at unit scale instead of
     its natural RMS of about 0.02. One constant, not a per-segment
     normalisation, so the residual's loudness still reaches the networks.
@@ -317,16 +319,14 @@ def train_step(
     opt_d: AdamState,
     config: TrainConfig,
     rng: np.random.Generator,
-    cond_scale: float = 1.0,
 ) -> StepStats:
     """One discriminator update followed by one generator update.
 
     Fresh noise is drawn for each phase; spectral-norm power iterations
     advance exactly once per phase, before its forwards; gradients are zeroed
-    between phases. The residual enters G and D's residual channel multiplied
-    by ``cond_scale`` (``train_loop`` passes the corpus's
-    ``conditioning_scale``); in residual-target mode the L1 target and D's
-    real candidate stay the raw residual.
+    between phases. G and D scale the residual they are conditioned on by
+    their own ``cond_scale``; in residual-target mode the L1 target and D's
+    real candidate are the residual as the batch holds it.
     """
     g_params = G.parameters()
     d_params = D.parameters()
@@ -342,12 +342,11 @@ def train_step(
     d_loss = 0.0
     for x_seg, r_seg in batch:
         z = NoiseBundle.draw(rng, nch, m, dtype=x_seg.dtype)
-        cond = r_seg * cond_scale
-        fake = G.generate(Tensor(cond), z).data  # no tape: G is frozen here
+        fake = G.generate(Tensor(r_seg), z).data  # no tape: G is frozen here
         tape = Tape()
         real_candidate = r_seg if residual_target else x_seg
-        d_real = D.discriminate(tape.tensor(real_candidate), tape.tensor(cond))
-        d_fake = D.discriminate(tape.tensor(fake), tape.tensor(cond))
+        d_real = D.discriminate(tape.tensor(real_candidate), tape.tensor(r_seg))
+        d_fake = D.discriminate(tape.tensor(fake), tape.tensor(r_seg))
         # max(0, 1 - real) + max(0, 1 + fake), averaged over the batch
         loss = ad.scale_(
             ad.add_(
@@ -370,7 +369,7 @@ def train_step(
     for x_seg, r_seg in batch:
         z = NoiseBundle.draw(rng, nch, m, dtype=x_seg.dtype)
         tape = Tape()
-        cond = tape.tensor(r_seg * cond_scale)
+        cond = tape.tensor(r_seg)
         fake = G.generate(cond, z)
         target = r_seg if residual_target else x_seg
         l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(target)))
@@ -413,8 +412,8 @@ LOSS_HEADER = "step,d_loss,g_loss,l1,adv"
 def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpoint", list[StepStats]]:
     """Run (or resume) training; writes loss.csv, periodic step_N.ckpt, final.ckpt.
 
-    The conditioning scale is computed from the corpus on a fresh run and
-    taken from the checkpoint on a resumed one."""
+    The models' conditioning scale is computed from the corpus on a fresh run
+    and restored from the checkpoint on a resumed one."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -425,30 +424,28 @@ def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpo
     opt_g = AdamState(G.parameters())
     opt_d = AdamState(D.parameters())
     rng = np.random.default_rng([config.seed, 1])
+    G.cond_scale = D.cond_scale = conditioning_scale(residuals)
     start_step = 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         restore_into(ckpt, G, D, opt_g, opt_d)
         rng.bit_generator.state = ckpt.rng_state
         start_step = ckpt.step
-        cond_scale = ckpt.cond_scale
-    else:
-        cond_scale = conditioning_scale(residuals)
 
     batches = make_batches(clips, residuals, config.segment_len, config.batch_size, rng)
     history: list[StepStats] = []
     with open(out_dir / "loss.csv", "w") as log:
         log.write(LOSS_HEADER + "\n")
         for step in range(start_step + 1, config.steps + 1):
-            stats = train_step(next(batches), G, D, opt_g, opt_d, config, rng, cond_scale)
+            stats = train_step(next(batches), G, D, opt_g, opt_d, config, rng)
             history.append(stats)
             log.write(format_loss_row(step, stats) + "\n")
             log.flush()  # a crash loses no logged step
             if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
                 save_checkpoint(out_dir / f"step_{step}.ckpt", config, G, D, opt_g, opt_d,
-                                rng.bit_generator.state, step, cond_scale)
+                                rng.bit_generator.state, step)
     final = save_checkpoint(out_dir / "final.ckpt", config, G, D, opt_g, opt_d,
-                            rng.bit_generator.state, config.steps, cond_scale)
+                            rng.bit_generator.state, config.steps)
     return final, history
 
 
@@ -520,16 +517,15 @@ def _write_tensor(f, name: str, arr: np.ndarray):
 
 
 def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
-                    opt_g: AdamState, opt_d: AdamState, rng_state: dict, step: int,
-                    cond_scale: float = 1.0) -> Checkpoint:
-    """Write the training state to path atomically and return it as a Checkpoint.
-
-    ``cond_scale`` is the conditioning scale the models were trained with;
-    1.0 means the residual at its natural scale.
+                    opt_g: AdamState, opt_d: AdamState, rng_state: dict, step: int) -> Checkpoint:
+    """Write the training state to path atomically and return it as a Checkpoint,
+    with the models' conditioning scale, which the two must share.
 
     The returned Checkpoint holds the models' and optimizer states' own
     arrays, not copies, so it reads any later update to them.
     """
+    if G.cond_scale != D.cond_scale:
+        raise ValueError(f"G and D disagree on cond_scale: {G.cond_scale} vs {D.cond_scale}")
     tensors = state_tensors(G, D, opt_g, opt_d)
     adam_t = {"g": opt_g.t, "d": opt_d.t}
 
@@ -538,7 +534,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
             "config": config.to_dict(),
             "rng_state": _jsonable(rng_state),
             "adam_t": adam_t,
-            "cond_scale": cond_scale,
+            "cond_scale": G.cond_scale,
         }
     ).encode("utf-8")
     # write a temp file and rename it over path, so a crash mid-save leaves
@@ -562,7 +558,7 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
         tmp.unlink(missing_ok=True)
         raise
     return Checkpoint(CKPT_VERSION, config, tensors, _jsonable(rng_state), step, adam_t,
-                      cond_scale)
+                      G.cond_scale)
 
 
 def _jsonable(state):
@@ -652,7 +648,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
                  opt_g: AdamState | None = None, opt_d: AdamState | None = None):
-    """Copy checkpoint values into freshly built models (and optimizer states).
+    """Copy checkpoint values, the conditioning scale among them, into freshly
+    built models (and optimizer states).
 
     The file must hold exactly the tensors ``state_tensors`` names for these
     models, with the same shapes, optimizer moments included when no
@@ -675,6 +672,7 @@ def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
     for name, dst in live.items():
         if name not in stand_ins:
             dst[...] = ckpt.tensors[name]
+    G.cond_scale = D.cond_scale = ckpt.cond_scale
     for opt, key in ((opt_g, "g"), (opt_d, "d")):
         if opt is not None:
             opt.t = int(ckpt.adam_t[key])

@@ -148,10 +148,13 @@ def test_criterion_06_overfit_smoke(tmp_path):
         np.isfinite([s.d_loss, s.g_loss, s.l1, s.adv]).all() for s in history
     ), "non-finite loss during overfit run"
     assert l1[-1] <= 0.5 * l1[0], f"final l1 {l1[-1]:.4f} vs initial {l1[0]:.4f}"
+    # one step's L1 moves with float rounding; the mean of the last 25 does not
+    tail = float(np.mean(l1[-25:]))
+    assert tail <= 0.5 * l1[0], f"tail-25 mean l1 {tail:.4f} vs initial {l1[0]:.4f}"
     report(
         6, "PASS",
-        f"l1 {l1[0]:.4f} -> {l1[-1]:.4f} (ratio {l1[-1] / l1[0]:.2f}) in 300 steps, "
-        f"{elapsed / 60:.1f} min (target < 15)",
+        f"l1 {l1[0]:.4f} -> {l1[-1]:.4f} (ratio {l1[-1] / l1[0]:.2f}), tail-25 mean "
+        f"{tail:.4f} (ratio {tail / l1[0]:.2f}) in 300 steps, {elapsed / 60:.1f} min (target < 15)",
     )
 
 

@@ -161,7 +161,11 @@ class TestTrainCommand:
     @pytest.mark.parametrize("config,named", [
         ({"steps": 1, "segmnt_len": 528}, "segmnt_len"),
         ([1], "JSON object"),
-    ], ids=["unknown_field", "not_an_object"])
+        ({"synthetic": {"n_clips": 2}}, "synthetic spec"),
+        ({"synthetic": {"n_clips": 2, "clip_len": "4160"}}, "synthetic spec"),
+        ({"synthetic": {"n_clips": 0, "clip_len": 4160}}, "synthetic spec"),
+    ], ids=["unknown_field", "not_an_object", "synthetic_missing_key", "synthetic_not_int",
+            "synthetic_zero_clips"])
     def test_bad_config_file_exits_3(self, tmp_path, capsys, config, named):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))

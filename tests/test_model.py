@@ -268,7 +268,7 @@ SIGMOID_FROZEN = pytest.mark.xfail(
 )
 def test_generator_is_conditioned(gate_kind, advance):
     """Full-size float32 generator, one G-phase loss as train_step builds it,
-    the residual scaled by the conditioning scale of the two clips: every
+    both models set to the conditioning scale of the two clips: every
     weight gets a gradient in the normal float range, and the output depends
     on the residual with the noise held fixed. ``advance`` first runs the
     power iteration train_step runs before its G phase; without it the models
@@ -278,8 +278,8 @@ def test_generator_is_conditioned(gate_kind, advance):
     rng = np.random.default_rng(0)
     clips = [T.synthesize_clip(rng, cfg.segment_len) for _ in range(2)]
     residuals = T.residuals_for(clips, cfg.lpc_order, cfg.frame_len)
-    scale = T.conditioning_scale(residuals)
-    x, r, r_other = clips[0][None, :], residuals[0][None, :] * scale, residuals[1][None, :] * scale
+    G.cond_scale = D.cond_scale = T.conditioning_scale(residuals)
+    x, r, r_other = clips[0][None, :], residuals[0][None, :], residuals[1][None, :]
     z = NoiseBundle.draw(rng, G.cfg.noise_channels, cfg.segment_len // G.cfg.compression)
     if advance:
         G.advance_spectral_norm()

@@ -32,6 +32,20 @@ def tiny_setup(cfg, model_seed=3):
     return G, D, opt_g, opt_d, batches, rng, clips, residuals
 
 
+class _InputSpy:
+    """Stands in for a conv layer and keeps a copy of every input it is called on."""
+
+    def __init__(self, layer):
+        self.layer, self.seen = layer, []
+
+    def __call__(self, x):
+        self.seen.append(x.data.copy())
+        return self.layer(x)
+
+    def __getattr__(self, name):
+        return getattr(self.layer, name)
+
+
 class TestLossArithmetic:
     def test_hinge_table(self):
         assert T.hinge_d_loss(2.0, -2.0) == pytest.approx(0.0, abs=1e-12)
@@ -325,37 +339,34 @@ class TestTrainStep:
         assert vals[-1] < vals[0]
 
     def test_conditioning_scale_wiring(self, monkeypatch):
-        # the scaled residual enters G and D's residual channel; the real
-        # candidate and the L1 target stay the raw residual
+        # the models scale the residual where it enters G's encoder and D's
+        # residual channel; the real candidate and the L1 target stay the raw residual
         cfg = self._cfg(target_mode="residual")
         G, D, og, od, batches, rng, _, _ = tiny_setup(cfg)
         batch = next(batches)
         scale = 4.0
-        g_seen, d_seen = [], []
-        g_orig, d_orig = G.generate, D.discriminate
+        G.cond_scale = D.cond_scale = scale
+        g_out, enc_in, d_in = [], _InputSpy(G.enc_convs[0]), _InputSpy(D.layers[0])
+        g_orig = G.generate
 
         def g_spy(residual, noise):
             out = g_orig(residual, noise)
-            g_seen.append((residual.data.copy(), out.data.copy()))
+            g_out.append(out.data.copy())
             return out
 
-        def d_spy(candidate, residual, trace=None):
-            d_seen.append((candidate.data.copy(), residual.data.copy()))
-            return d_orig(candidate, residual, trace)
-
         monkeypatch.setattr(G, "generate", g_spy)
-        monkeypatch.setattr(D, "discriminate", d_spy)
-        stats = T.train_step(batch, G, D, og, od, cfg, rng, cond_scale=scale)
+        G.enc_convs[0], D.layers[0] = enc_in, d_in
+        stats = T.train_step(batch, G, D, og, od, cfg, rng)
         n = len(batch)
-        assert len(g_seen) == 2 * n and len(d_seen) == 3 * n
+        assert len(enc_in.seen) == 2 * n and len(d_in.seen) == 3 * n
         for i, (_, r) in enumerate(batch):
-            for cond, _ in (g_seen[i], g_seen[n + i]):
+            for cond in (enc_in.seen[i], enc_in.seen[n + i]):
                 assert np.array_equal(cond, r * scale)
-            real, fake, g_phase = d_seen[2 * i], d_seen[2 * i + 1], d_seen[2 * n + i]
-            assert np.array_equal(real[0], r)
-            assert all(np.array_equal(cond, r * scale) for _, cond in (real, fake, g_phase))
+            real, fake, g_phase = d_in.seen[2 * i], d_in.seen[2 * i + 1], d_in.seen[2 * n + i]
+            assert np.array_equal(real[0], r[0])
+            assert all(np.array_equal(x[1], r[0] * scale) for x in (real, fake, g_phase))
         l1 = np.mean([np.mean(np.abs(out.astype(np.float64) - r))
-                      for (_, r), (_, out) in zip(batch, g_seen[n:])])
+                      for (_, r), out in zip(batch, g_out[n:])])
         assert stats.l1 == pytest.approx(l1, rel=1e-5)
 
     def test_sn_advances_once_per_phase(self):
@@ -607,6 +618,14 @@ class TestConditioningScale:
         clips = T.load_corpus(ckpt.config)
         residuals = T.residuals_for(clips, ckpt.config.lpc_order, ckpt.config.frame_len)
         assert ckpt.cond_scale == T.conditioning_scale(residuals)
+
+    def test_save_refuses_models_that_disagree(self, tmp_path):
+        G, D, og, od, _, rng, _, _ = tiny_setup(T.TrainConfig(synthetic={"n_clips": 1, "clip_len": 528}))
+        G.cond_scale = 2.0
+        with pytest.raises(ValueError, match="disagree on cond_scale"):
+            T.save_checkpoint(tmp_path / "x.ckpt", T.TrainConfig(), G, D, og, od,
+                              rng.bit_generator.state, 0)
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_resume_takes_the_stored_scale(self, one_step_ckpt, tmp_path):
         ckpt = T.load_checkpoint(one_step_ckpt)
