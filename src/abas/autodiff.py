@@ -12,60 +12,16 @@ after the fact: ``Tape.first_nonfinite`` names the earliest op that made one.
 
 from __future__ import annotations
 
-import sys
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-class _ArrayPool:
-    """Recycles fixed-shape scratch arrays across forward/backward passes.
 
-    Freshly faulted pages are expensive in sandboxed environments, and a
-    training step churns through hundreds of megabytes of short-lived arrays
-    of a small set of shapes. The pool keeps strong references to every array
-    it hands out; an entry is reusable exactly when the pool holds the only
-    reference (refcount check), so no explicit release step exists and views
-    held elsewhere keep a buffer safely out of circulation.
-
-    Single-threaded by design, matching the one-tape-per-worker model.
-    """
-
-    MAX_PER_KEY = 64
-    MAX_BYTES = 3 << 29
-
-    def __init__(self):
-        self._store: dict[tuple, list[np.ndarray]] = {}
-        self._bytes = 0
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        """Uninitialized array of the given shape; contents are arbitrary."""
-        key = (shape, np.dtype(dtype).str)
-        entries = self._store.get(key)
-        if entries is not None:
-            for arr in entries:
-                # 3 = pool list + local `arr` + getrefcount argument
-                if sys.getrefcount(arr) == 3:
-                    return arr
-        arr = np.empty(shape, dtype=dtype)
-        if self._bytes + arr.nbytes <= self.MAX_BYTES:
-            bucket = self._store.setdefault(key, [])
-            if len(bucket) < self.MAX_PER_KEY:
-                bucket.append(arr)
-                self._bytes += arr.nbytes
-        return arr
-
-    def zeros(self, shape: tuple, dtype) -> np.ndarray:
-        arr = self.take(shape, dtype)
-        arr[...] = 0
-        return arr
-
-    def clear(self):
-        self._store.clear()
-        self._bytes = 0
-
-
-pool = _ArrayPool()
+# perfbench/runner.py calls pool.clear() between repetitions. The engine keeps
+# no array cache, so the call does nothing; drop this once the benchmark does.
+pool = SimpleNamespace(clear=lambda: None)
 
 
 class Parameter:
@@ -226,7 +182,7 @@ def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
         raise ValueError("pad must be non-negative")
     if left >= length or right >= length:
         raise ValueError(f"pad ({left}, {right}) must be smaller than length {length}")
-    y = pool.take((c, length + left + right), xd.dtype)
+    y = np.empty((c, length + left + right), xd.dtype)
     y[:, left : left + length] = xd
     if left:
         y[:, :left] = xd[:, left:0:-1]
@@ -238,8 +194,7 @@ def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
 
 def _reflect_adjoint(g: np.ndarray, left: int, right: int, length: int) -> np.ndarray:
     """Adjoint of _reflect: fold the mirrored margins of g back onto the source."""
-    gx = pool.take((g.shape[0], length), g.dtype)
-    np.copyto(gx, g[:, left : left + length])
+    gx = g[:, left : left + length].copy()
     if left:
         gx[:, 1 : left + 1] += g[:, left - 1 :: -1]
     if right:
@@ -250,8 +205,7 @@ def _reflect_adjoint(g: np.ndarray, left: int, right: int, length: int) -> np.nd
 
 def _softmax(a: np.ndarray) -> np.ndarray:
     """Columnwise softmax over channels, with max subtraction."""
-    y = pool.take(a.shape, a.dtype)
-    np.subtract(a, a.max(axis=0, keepdims=True), out=y)
+    y = a - a.max(axis=0, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=0, keepdims=True)
     return y
@@ -259,12 +213,7 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 
 def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Input gradient of _softmax given its output y: y * (g - sum(g * y))."""
-    gx = pool.take(g.shape, g.dtype)
-    np.multiply(g, y, out=gx)
-    dot = gx.sum(axis=0, keepdims=True)
-    np.subtract(g, dot, out=gx)
-    gx *= y
-    return gx
+    return (g - (g * y).sum(axis=0, keepdims=True)) * y
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -274,19 +223,11 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gx = pool.take(g.shape, g.dtype)
-    np.subtract(g.dtype.type(1.0), y, out=gx)
-    gx *= y
-    gx *= g
-    return gx
+    return (g.dtype.type(1.0) - y) * y * g
 
 
 def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gx = pool.take(g.shape, g.dtype)
-    np.multiply(y, y, out=gx)
-    np.subtract(g.dtype.type(1.0), gx, out=gx)
-    gx *= g
-    return gx
+    return (g.dtype.type(1.0) - y * y) * g
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +250,7 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     if stride > 1:
         win = win[:, ::stride, :]
     c, t, _ = win.shape
-    cols = pool.take((c * k, t), x.dtype)
+    cols = np.empty((c * k, t), x.dtype)
     np.copyto(cols.reshape(c, k, t), win.transpose(0, 2, 1))
     return cols
 
@@ -317,7 +258,7 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
     """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k]."""
     C, K, T = cols.shape
-    out = pool.zeros((C, out_len), cols.dtype)
+    out = np.zeros((C, out_len), cols.dtype)
     span = (T - 1) * stride + 1
     for k in range(K):
         out[:, k : k + span : stride] += cols[:, k, :]
@@ -326,18 +267,9 @@ def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
 
 def _pad_zero(x: np.ndarray, left: int, right: int) -> np.ndarray:
     c, length = x.shape
-    out = pool.take((c, length + left + right), x.dtype)
-    if left:
-        out[:, :left] = 0
-    if right:
-        out[:, left + length :] = 0
+    out = np.zeros((c, length + left + right), x.dtype)
     out[:, left : left + length] = x
     return out
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = pool.take((a.shape[0], b.shape[1]), np.result_type(a, b))
-    return np.matmul(a, b, out=out)
 
 
 def conv1d(
@@ -382,16 +314,15 @@ def conv1d(
     if narrowing:
         # taps[o, j, s] = sum_c w[o, c, j] * xp[c, s]; y[o, t] = sum_j taps[o, j, t + j]
         t_out = lp - k + 1
-        taps = _matmul(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp)
+        taps = np.matmul(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp)
         taps = taps.reshape(c_out, k, lp)
-        y = pool.take((c_out, t_out), taps.dtype)
-        np.copyto(y, taps[:, 0, :t_out])
+        y = taps[:, 0, :t_out].copy()
         for j in range(1, k):
             y += taps[:, j, j : j + t_out]
     else:
         cols = _im2col(xp, k, stride)
         w_mat = w_data.reshape(c_out, c_in * k)
-        y = _matmul(w_mat, cols)
+        y = np.matmul(w_mat, cols)
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
@@ -401,16 +332,14 @@ def conv1d(
             # gcols[o*k + m, s] = g[o, s + m - (k - 1)], zero outside g
             gcols = _im2col(_pad_zero(g, k - 1, k - 1), k, 1)
             if w_id >= 0:
-                gw_rev = _matmul(xp, gcols.T).reshape(c_in, c_out, k)
-                gw = pool.take(w_data.shape, gw_rev.dtype)
-                np.copyto(gw, gw_rev[:, :, ::-1].transpose(1, 0, 2))
-                out.append((w_id, gw))
+                gw_rev = np.matmul(xp, gcols.T).reshape(c_in, c_out, k)
+                out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
             w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            gx = _matmul(w_rev, gcols)
+            gx = np.matmul(w_rev, gcols)
         else:
             if w_id >= 0:
-                out.append((w_id, _matmul(g, cols.T).reshape(w_data.shape)))
-            gcols = _matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
+                out.append((w_id, np.matmul(g, cols.T).reshape(w_data.shape)))
+            gcols = np.matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
             gx = _fold(gcols, stride, lp)
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
@@ -444,7 +373,7 @@ def tconv1d(
     if cl < 0 or cr < 0 or cl + cr >= raw:
         raise ValueError(f"crop {crop} exceeds raw output length {raw}")
     w_mat = w_data.reshape(c_in, c_out * k)
-    cols = _matmul(w_mat.T, xd).reshape(c_out, k, length)
+    cols = np.matmul(w_mat.T, xd).reshape(c_out, k, length)
     y = _fold(cols, stride, raw)[:, cl : raw - cr]
     if b_data is not None:
         y += b_data.reshape(-1, 1)
@@ -454,10 +383,10 @@ def tconv1d(
         gcols = _im2col(g_raw, k, stride)  # (c_out*k, length)
         out = []
         if w_id >= 0:
-            out.append((w_id, _matmul(xd, gcols.T).reshape(w_data.shape)))
+            out.append((w_id, np.matmul(xd, gcols.T).reshape(w_data.shape)))
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
-        out.append((x_id, _matmul(w_mat, gcols)))
+        out.append((x_id, np.matmul(w_mat, gcols)))
         return out
 
     return _emit(tape, "tconv1d", y, bwd)
@@ -503,10 +432,8 @@ def gated_conv_pair(
     cols = _im2col(_reflect(xd, pad, pad), k, 1)
 
     ck = c_in * k
-    w_stack = pool.take((2 * c_out, ck), wf.dtype)
-    w_stack[:c_out] = wf.reshape(c_out, ck)
-    w_stack[c_out:] = wg.reshape(c_out, ck)
-    y_stack = _matmul(w_stack, cols)
+    w_stack = np.concatenate([wf.reshape(c_out, ck), wg.reshape(c_out, ck)])
+    y_stack = np.matmul(w_stack, cols)
     yf, yg = y_stack[:c_out], y_stack[c_out:]
     if bf is not None:
         yf += bf.reshape(-1, 1)
@@ -514,30 +441,28 @@ def gated_conv_pair(
         yg += bg.reshape(-1, 1)
 
     softmax = gate_kind == "softmax_channel"
-    f = np.tanh(yf, out=pool.take(yf.shape, yf.dtype))
+    f = np.tanh(yf)
     if softmax:
         gain = yg.dtype.type(c_out)
         probs = _softmax(yg)
-        gate = np.multiply(probs, gain, out=pool.take(probs.shape, probs.dtype))
+        gate = probs * gain
     else:
         gate = _sigmoid(yg)
-    y = np.multiply(f, gate, out=pool.take(f.shape, f.dtype))
+    y = f * gate
 
     def bwd(g):
         # through the product and the two activations
-        d_yf = _tanh_vjp(np.multiply(g, gate, out=pool.take(g.shape, g.dtype)), f)
-        d_gate = np.multiply(g, f, out=pool.take(g.shape, g.dtype))
+        d_yf = _tanh_vjp(g * gate, f)
+        d_gate = g * f
         if softmax:
             d_gate *= gain
             d_yg = _softmax_vjp(d_gate, probs)
         else:
             d_yg = _sigmoid_vjp(d_gate, gate)
-        d_stack = pool.take((2 * c_out, g.shape[1]), g.dtype)
-        d_stack[:c_out] = d_yf
-        d_stack[c_out:] = d_yg
+        d_stack = np.concatenate([d_yf, d_yg])
         out = []
         if wf_id >= 0 or wg_id >= 0:
-            gw_stack = _matmul(d_stack, cols.T)
+            gw_stack = np.matmul(d_stack, cols.T)
             if wf_id >= 0:
                 out.append((wf_id, gw_stack[:c_out].reshape(wf.shape)))
             if wg_id >= 0:
@@ -546,7 +471,7 @@ def gated_conv_pair(
             out.append((bf_id, d_yf.sum(axis=1)))
         if bg_id >= 0:
             out.append((bg_id, d_yg.sum(axis=1)))
-        gcols = _matmul(w_stack.T, d_stack).reshape(c_in, k, g.shape[1])
+        gcols = np.matmul(w_stack.T, d_stack).reshape(c_in, k, g.shape[1])
         gxp = _fold(gcols, 1, length + 2 * pad)
         out.append((x_id, _reflect_adjoint(gxp, pad, pad, length)))
         return out
@@ -576,7 +501,7 @@ def channel_softmax(x: Tensor) -> Tensor:
 
 
 def tanh_(x: Tensor) -> Tensor:
-    y = np.tanh(x.data, out=pool.take(x.data.shape, x.data.dtype))
+    y = np.tanh(x.data)
     x_id = x.node_id
     return _emit(x.tape, "tanh", y, lambda g: [(x_id, _tanh_vjp(g, y))])
 
@@ -593,8 +518,8 @@ def _slope_mask(xd: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _leaky(xd: np.ndarray, slope: float) -> np.ndarray:
-    """Bitwise ``np.where(xd > 0, xd, slope * xd)`` in a pool buffer."""
-    return np.multiply(xd, _slope_mask(xd, slope), out=pool.take(xd.shape, xd.dtype))
+    """Bitwise ``np.where(xd > 0, xd, slope * xd)``, as one multiply by the slope mask."""
+    return xd * _slope_mask(xd, slope)
 
 
 def prelu_(x: Tensor, slope: Parameter) -> Tensor:
@@ -608,9 +533,7 @@ def prelu_(x: Tensor, slope: Parameter) -> Tensor:
     y = _leaky(xd, s)
 
     def bwd(g):
-        gx = pool.take(xd.shape, g.dtype)
-        np.multiply(g, _slope_mask(xd, s), out=gx)
-        out = [(x_id, gx)]
+        out = [(x_id, g * _slope_mask(xd, s))]
         if s_id >= 0:
             gs = np.sum(g * xd * (xd <= 0))
             out.append((s_id, np.asarray(gs, dtype=g.dtype).reshape(s_shape)))
@@ -621,49 +544,34 @@ def prelu_(x: Tensor, slope: Parameter) -> Tensor:
 
 def leaky_relu_(x: Tensor, slope: float = 0.2) -> Tensor:
     xd = x.data
-    y = _leaky(xd, slope)
-
     x_id = x.node_id
-
-    def bwd(g):
-        gx = pool.take(xd.shape, g.dtype)
-        np.multiply(g, _slope_mask(xd, slope), out=gx)
-        return [(x_id, gx)]
-
-    return _emit(x.tape, "leaky_relu", y, bwd)
+    y = _leaky(xd, slope)
+    return _emit(x.tape, "leaky_relu", y, lambda g: [(x_id, g * _slope_mask(xd, slope))])
 
 
 def relu_(x: Tensor) -> Tensor:
     xd = x.data
     x_id = x.node_id
-    y = np.maximum(xd, 0, out=pool.take(xd.shape, xd.dtype))
+    y = np.maximum(xd, 0)
     return _emit(x.tape, "relu", y, lambda g: [(x_id, g * (xd > 0))])
 
 
 def mul_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
-    y = np.multiply(a.data, b.data, out=pool.take(a.data.shape, np.result_type(a.data, b.data)))
-
     a_id, b_id, ad_, bd_ = a.node_id, b.node_id, a.data, b.data
-
-    def bwd(g):
-        ga = np.multiply(g, bd_, out=pool.take(g.shape, g.dtype))
-        gb = np.multiply(g, ad_, out=pool.take(g.shape, g.dtype))
-        return [(a_id, ga), (b_id, gb)]
-
-    return _emit(tape, "mul", y, bwd)
+    return _emit(tape, "mul", ad_ * bd_, lambda g: [(a_id, g * bd_), (b_id, g * ad_)])
 
 
 def add_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
-    y = np.add(a.data, b.data, out=pool.take(a.data.shape, np.result_type(a.data, b.data)))
+    y = a.data + b.data
     a_id, b_id = a.node_id, b.node_id
     return _emit(tape, "add", y, lambda g: [(a_id, g), (b_id, g)])
 
 
 def sub_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
-    y = np.subtract(a.data, b.data, out=pool.take(a.data.shape, np.result_type(a.data, b.data)))
+    y = a.data - b.data
     a_id, b_id = a.node_id, b.node_id
     return _emit(tape, "sub", y, lambda g: [(a_id, g), (b_id, -g)])
 
@@ -675,10 +583,7 @@ def concat_channels_(a: Tensor, b: Tensor) -> Tensor:
     if a.tape is not None and b.tape is not None and a.tape is not b.tape:
         raise ValueError("mixing tensors from different tapes")
     ca = a.data.shape[0]
-    y = pool.take((a.data.shape[0] + b.data.shape[0], a.data.shape[1]),
-                  np.result_type(a.data, b.data))
-    y[:ca] = a.data
-    y[ca:] = b.data
+    y = np.concatenate([a.data, b.data])
     a_id, b_id = a.node_id, b.node_id
     return _emit(
         tape, "concat_channels", y,
@@ -688,7 +593,7 @@ def concat_channels_(a: Tensor, b: Tensor) -> Tensor:
 
 def scale_(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    y = np.multiply(x.data, x.data.dtype.type(c), out=pool.take(x.data.shape, x.data.dtype))
+    y = x.data * x.data.dtype.type(c)
     x_id = x.node_id
     return _emit(x.tape, "scale", y, lambda g: [(x_id, g * c)])
 

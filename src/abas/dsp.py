@@ -187,6 +187,8 @@ def lpc_analyze(
     the inverse filter applied to the raw (unwindowed) samples with history
     carried across frames. The residual spans the zero-padded signal length.
     """
+    if not 1 <= order < frame_len:
+        raise ValueError(f"LPC order must be in 1..{frame_len - 1}, got {order}")
     _require_rate(signal)
     frames = frame_signal(signal, frame_len).astype(np.float64)
     window = np.hamming(frame_len)

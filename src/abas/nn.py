@@ -72,7 +72,7 @@ def spectral_normalize(
     w = weight.data
     sigma, v = estimate_sigma(matricize(w, transpose_in_out), state)
     sigma = max(sigma, SIGMA_FLOOR)
-    w_norm = np.multiply(w, w.dtype.type(1.0 / sigma), out=ad.pool.take(w.shape, w.dtype))
+    w_norm = w * w.dtype.type(1.0 / sigma)
     if tape is None:
         return Tensor(w_norm)
     leaf_id = tape.leaf(weight).node_id
@@ -82,10 +82,8 @@ def spectral_normalize(
         # d(W / sigma) with sigma = u'Wv and u, v held constant
         gd = np.asarray(g)
         coef = float(np.vdot(gd, w_norm)) / sigma
-        gw = np.multiply(gd, gd.dtype.type(1.0 / sigma), out=ad.pool.take(w.shape, gd.dtype))
-        rank1 = ad.pool.take((u.size, v.size), gd.dtype)
-        np.multiply((coef * u)[:, None], v[None, :], out=rank1)
-        rank1 = rank1.reshape(u.size, -1, w.shape[2])
+        gw = gd * gd.dtype.type(1.0 / sigma)
+        rank1 = np.outer(coef * u, v).reshape(u.size, -1, w.shape[2])
         if transpose_in_out:
             rank1 = rank1.transpose(1, 0, 2)
         gw -= rank1

@@ -53,6 +53,10 @@ class TrainDiverged(RuntimeError):
     """A loss went non-finite; the message names the first bad tensor."""
 
 
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass
 class TrainConfig:
     gamma: float = 0.00015
@@ -72,10 +76,29 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        for name, low in (("batch_size", 1), ("steps", 0), ("seed", 0), ("lpc_order", 1),
+                          ("frame_ms", 1), ("checkpoint_every", 0)):
+            v = getattr(self, name)
+            if type(v) is not int or v < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+        if self.lpc_order >= self.frame_len:
+            raise ValueError(f"lpc_order must be below the frame length {self.frame_len}, "
+                             f"got {self.lpc_order}")
+        for name in ("gamma", "lr_d", "lr_g"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.segment_len % 16 or self.segment_len < 528:
-            raise ValueError("segment_len must be divisible by 16 and >= 528")
+        if self.lr_d <= 0 or self.lr_g <= 0:
+            raise ValueError(f"learning rates must be positive, got lr_d={self.lr_d}, "
+                             f"lr_g={self.lr_g}")
+        b = self.betas
+        if not (isinstance(b, (list, tuple)) and len(b) == 2
+                and all(_is_finite_number(x) and 0.0 <= x < 1.0 for x in b)):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {b!r}")
+        seg = self.segment_len
+        if type(seg) is not int or seg % 16 or seg < 528:
+            raise ValueError(f"segment_len must be an int divisible by 16 and >= 528, got {seg!r}")
         if self.gate_kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.gate_kind!r}")
         if self.target_mode not in TARGET_MODES:

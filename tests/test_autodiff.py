@@ -90,7 +90,6 @@ class TestConv1d:
         # G.out at a vocode segment: the (64*65, 16000) im2col matrix would be 266 MB
         x = rng.standard_normal((64, 16000), dtype=np.float32)
         w = Parameter("w", rng.standard_normal((1, 64, 65), dtype=np.float32))
-        ad.pool.clear()
         tracemalloc.start()
         try:
             y = ad.conv1d(Tensor(x), w, pad=(32, 32), pad_mode="reflect")
@@ -105,7 +104,6 @@ class TestConv1d:
         # and its adjoint, two more input-sized arrays that are not the conv's
         x = rng.standard_normal((64, 1600), dtype=np.float32)
         w = Parameter("w", rng.standard_normal((1, 64, 65), dtype=np.float32))
-        ad.pool.clear()
         tracemalloc.start()
         try:
             tape = Tape()

@@ -5,11 +5,13 @@ name, so a rename or a changed signature here breaks it without failing any
 other test. These checks keep that surface fixed.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from abas import autodiff as ad
-from abas import model, nn
+from abas import dsp, metrics, model, nn, wavio
 from abas import train as T
 
 
@@ -67,3 +69,31 @@ def test_array_pool_can_be_cleared():
 def test_wrapped_methods_are_defined_on_their_own_class(cls, name):
     # the benchmark replaces cls.__dict__[name]; an inherited method is not there
     assert callable(cls.__dict__[name])
+
+
+@pytest.mark.parametrize("module,name", [
+    *((ad, name) for name in (
+        "conv1d", "tconv1d", "gated_conv_pair", "reflect_pad", "channel_softmax",
+        "tanh_", "sigmoid_", "prelu_", "leaky_relu_", "relu_", "mul_", "add_", "sub_",
+        "concat_channels_", "scale_", "shift_", "abs_mean_", "mean_",
+    )),
+    (nn, "spectral_normalize"),
+    *((T, name) for name in ("train_step", "adam_amsgrad_step", "load_checkpoint",
+                             "save_checkpoint", "load_corpus", "residuals_for")),
+    (dsp, "lpc_analyze"),
+    (dsp, "cross_synthesize"),
+    (wavio, "read_wav"),
+    (wavio, "write_wav"),
+    (metrics, "ssnr"),
+    (metrics, "l1_distance"),
+    (metrics, "log_spectral_distance"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_wrapped_functions_are_module_attributes(module, name):
+    # the benchmark looks each one up with getattr(module, name)
+    assert inspect.isfunction(getattr(module, name))
+
+
+def test_gated_conv_pair_signature():
+    # the benchmark reads the input and filter weight as the first two arguments
+    assert list(inspect.signature(ad.gated_conv_pair).parameters) == [
+        "x", "w_filter", "b_filter", "w_gate", "b_gate", "pad", "gate_kind"]

@@ -69,6 +69,15 @@ class TestLpc:
         assert len(lines) == 1 + 4160 // 320
         assert all(len(line.split(",")) == 17 for line in lines)
 
+    def test_order_zero_exits_3(self, corpus_dir, tmp_path, capsys):
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        out = tmp_path / "residual.wav"
+        rc = cli.main(["lpc", "--in", str(src), "--order", "0", "--emit", "residual",
+                       "--out", str(out)])
+        assert rc == 3
+        assert "LPC order must be in 1..319, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCrossSynth:
     def test_identity_round_trip(self, corpus_dir, tmp_path):
@@ -108,6 +117,15 @@ class TestCrossSynth:
                            "--out", str(out)])
         assert rc == 0
         assert len(read_wav(out)) == 2000
+
+    def test_negative_order_exits_3(self, corpus_dir, tmp_path, capsys):
+        src = str(sorted(corpus_dir.glob("*.wav"))[0])
+        out = tmp_path / "out.wav"
+        rc = cli.main(["cross-synth", "--carrier", src, "--envelope", src, "--order", "-2",
+                       "--out", str(out)])
+        assert rc == 3
+        assert "LPC order must be in 1..319, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -164,8 +182,14 @@ class TestTrainCommand:
         ({"synthetic": {"n_clips": 2}}, "synthetic spec"),
         ({"synthetic": {"n_clips": 2, "clip_len": "4160"}}, "synthetic spec"),
         ({"synthetic": {"n_clips": 0, "clip_len": 4160}}, "synthetic spec"),
+        ({"betas": 5}, "betas must be two numbers"),
+        ({"gamma": "x"}, "gamma must be a finite number"),
+        ({"lpc_order": 0}, "lpc_order must be an int >= 1"),
+        ({"lpc_order": 320}, "lpc_order must be below the frame length 320"),
+        ({"lr_d": float("inf")}, "lr_d must be a finite number"),
     ], ids=["unknown_field", "not_an_object", "synthetic_missing_key", "synthetic_not_int",
-            "synthetic_zero_clips"])
+            "synthetic_zero_clips", "betas_not_a_pair", "gamma_not_a_number", "lpc_order_zero",
+            "lpc_order_frame_len", "lr_d_infinite"])
     def test_bad_config_file_exits_3(self, tmp_path, capsys, config, named):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))
@@ -173,6 +197,13 @@ class TestTrainCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 3
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_batch_exits_3(self, corpus_dir, tmp_path, capsys):
+        rc = cli.main(["train", "--corpus", str(corpus_dir), "--steps", "1", "--batch", "0",
+                       "--seg-len", "528", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "batch_size must be an int >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_missing_moment_exits_3(self, trained, corpus_dir, tmp_path, capsys):

@@ -212,6 +212,11 @@ class TestLpcPipeline:
         with pytest.raises(ValueError, match="expected 16000"):
             lpc_analyze(AudioSignal(np.zeros(640), sample_rate=48000))
 
+    @pytest.mark.parametrize("order", [0, -2, 320])
+    def test_order_outside_frame_rejected(self, order):
+        with pytest.raises(ValueError, match=rf"LPC order must be in 1\.\.319, got {order}$"):
+            lpc_analyze(AudioSignal(np.zeros(640)), order, 320)
+
 
 @st.composite
 def lpc_geometries(draw):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,21 @@ class TestGenerate:
         r = Tensor(rng.standard_normal((1, 16000), dtype=np.float32))
         out = G.generate(r, NoiseBundle.draw(np.random.default_rng(1), 32, 1000))
         assert out.data.shape == (1, 16000)
+
+    def test_tapeless_generate_holds_no_memory(self, production, rng):
+        # a forward pass without a tape keeps nothing once its output is dropped
+        G, _ = production
+        r = Tensor(rng.standard_normal((1, 16000), dtype=np.float32))
+        z = NoiseBundle.draw(np.random.default_rng(1), 32, 1000)
+        tracemalloc.start()
+        try:
+            out = G.generate(r, z)
+            del out
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held, peak = current / 2**20, peak / 2**20
+        assert held < 1.0, f"{held:.1f} MiB held after the forward (peak {peak:.0f} MiB)"
 
     def test_fully_convolutional_plus_discriminator(self, production, rng):
         G, D = production

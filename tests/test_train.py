@@ -223,6 +223,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="gate"):
             T.TrainConfig(gate_kind="relu")
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("batch_size", 0, "batch_size must be an int >= 1"),
+        ("batch_size", 2.0, "batch_size must be an int"),
+        ("steps", -1, "steps must be an int >= 0"),
+        ("checkpoint_every", -1, "checkpoint_every must be an int >= 0"),
+        ("seed", -1, "seed must be an int >= 0"),
+        ("seed", True, "seed must be an int"),
+        ("frame_ms", 0, "frame_ms must be an int >= 1"),
+        ("lpc_order", 0, "lpc_order must be an int >= 1"),
+        ("lpc_order", 320, "lpc_order must be below the frame length 320"),
+        ("lr_g", 0.0, "learning rates must be positive"),
+        ("lr_d", float("nan"), "lr_d must be a finite number"),
+        ("betas", (0.5,), "betas must be two numbers"),
+        ("betas", (0.5, 1.0), "betas must be two numbers"),
+        ("betas", ("a", 0.9), "betas must be two numbers"),
+        ("gamma", "x", "gamma must be a finite number"),
+        ("segment_len", 1600.0, "segment_len must be an int"),
+    ])
+    def test_field_rejected(self, field, value, named):
+        with pytest.raises(ValueError, match=named):
+            T.TrainConfig(**{field: value})
+
     def test_defaults_echo_recipe(self):
         cfg = T.TrainConfig()
         assert (cfg.gamma, cfg.lr_d, cfg.lr_g) == (0.00015, 0.0006, 0.00015)
