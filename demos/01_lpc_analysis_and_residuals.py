@@ -13,15 +13,14 @@ from abas.train import synthesize_clip
 rng = np.random.default_rng(0)
 clip = synthesize_clip(rng, 16000)
 signal = dsp.AudioSignal(clip)
-print(f"clip: {len(signal)} samples @ {signal.sample_rate} Hz, peak {np.max(np.abs(clip)):.3f}")
+print(f"clip: {len(signal)} samples @ {dsp.PIPELINE_RATE} Hz, peak {np.max(np.abs(clip)):.3f}")
 
 # -- analysis ---------------------------------------------------------------
 track, residual = dsp.lpc_analyze(signal, order=16, frame_len=320)
-print(f"track: {len(track.frames)} frames of {track.frame_len} samples, order {track.order}")
+print(f"track: {len(track.coeffs)} frames of {track.frame_len} samples, order {track.order}")
 
-frame5 = track.frames[5]
-print(f"frame 5 coefficients (first 4): {np.round(frame5.coeffs[:4], 4)}")
-print(f"frame 5 prediction-error power: {frame5.gain_error:.6f}")
+print(f"frame 5 coefficients (first 4): {np.round(track.coeffs[5, :4], 4)}")
+print(f"frame 5 prediction-error power: {track.gains[5]:.6f}")
 
 # the predictor removes short-term correlation: residual energy is well below
 # the clip's, and its spectrum is much flatter
@@ -42,7 +41,7 @@ print(f"synthesis round-trip max error: {err:.2e} (float32 storage)")
 # -- cross synthesis ----------------------------------------------------------
 # replace the envelope of a white-noise "fake" with the clip's envelope
 sigma = float(np.sqrt(np.mean(residual.samples.astype(np.float64) ** 2)))
-noise = dsp.AudioSignal(rng.normal(0, sigma, 16000).astype(np.float32), role="fake")
+noise = dsp.AudioSignal(rng.normal(0, sigma, 16000).astype(np.float32))
 refined = dsp.cross_synthesize(noise, track)
 
 from abas.metrics import log_spectral_distance

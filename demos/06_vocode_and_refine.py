@@ -32,12 +32,12 @@ restore_into(ckpt, G, D)
 clip = synthesize_clip(np.random.default_rng(33), 4160)
 signal = dsp.AudioSignal(clip)
 track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
-print(f"\ninput: {len(signal)} samples -> {len(track.frames)} LPC frames")
+print(f"\ninput: {len(signal)} samples -> {len(track.coeffs)} LPC frames")
 
 # segment-wise generation over the residual; restore_into gave G the
 # conditioning scale it was trained with
 fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(2))
-fake_sig = dsp.AudioSignal(fake[: track.coverage], role=dsp.ROLE_FAKE)
+fake_sig = dsp.AudioSignal(fake)
 
 refined = dsp.cross_synthesize(fake_sig, track)
 

@@ -60,7 +60,7 @@ def _train_config(args) -> TrainConfig:
         "segment_len": args.seg_len,
         "steps": args.steps,
         "seed": args.seed,
-        "gate_kind": args.gate,
+        "gate_kind": {"softmax": "softmax_channel", "sigmoid": "sigmoid"}.get(args.gate),
         "target_mode": args.target,
         "corpus": args.corpus,
         "checkpoint_every": args.ckpt_every,
@@ -68,8 +68,6 @@ def _train_config(args) -> TrainConfig:
     for key, val in overrides.items():
         if val is not None:
             base[key] = val
-    if args.gate is not None:
-        base["gate_kind"] = {"softmax": "softmax_channel", "sigmoid": "sigmoid"}[args.gate]
     return TrainConfig.from_dict(base)
 
 
@@ -100,12 +98,9 @@ def cmd_vocode(args) -> int:
 
     track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
     fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(args.seed))
-    fake_sig = dsp.AudioSignal(fake[: track.coverage], role=dsp.ROLE_FAKE)
-    if args.skip_cross_synth:
-        out = fake_sig
-    else:
-        out = dsp.cross_synthesize(fake_sig, track)
-    out_sig = dsp.AudioSignal(out.samples[:n], role=out.role)
+    fake_sig = dsp.AudioSignal(fake)
+    out = fake_sig if args.skip_cross_synth else dsp.cross_synthesize(fake_sig, track)
+    out_sig = dsp.AudioSignal(out.samples[:n])
     write_wav(args.out, out_sig)
     print(
         f"ssnr_db={metrics.ssnr(signal, out_sig):.6g} "
@@ -119,7 +114,7 @@ def cmd_vocode(args) -> int:
 def cmd_cross_synth(args) -> int:
     _echo("cross-synth", {"carrier": args.carrier, "envelope": args.envelope,
                           "order": args.order, "out": args.out})
-    carrier = read_wav(args.carrier, role=dsp.ROLE_FAKE)
+    carrier = read_wav(args.carrier)
     envelope = read_wav(args.envelope)
     n = min(len(carrier), len(envelope))
     if len(carrier) != len(envelope):
@@ -128,8 +123,8 @@ def cmd_cross_synth(args) -> int:
     track, _ = dsp.lpc_analyze(env, order=args.order)
     padded = np.zeros(track.coverage, dtype=np.float32)
     padded[:n] = carrier.samples[:n]
-    out = dsp.cross_synthesize(dsp.AudioSignal(padded, role=dsp.ROLE_FAKE), track, args.order)
-    write_wav(args.out, dsp.AudioSignal(out.samples[:n], role=out.role))
+    out = dsp.cross_synthesize(dsp.AudioSignal(padded), track)
+    write_wav(args.out, dsp.AudioSignal(out.samples[:n]))
     return 0
 
 
@@ -141,15 +136,15 @@ def cmd_lpc(args) -> int:
     track, residual = dsp.lpc_analyze(signal, args.order, frame_len)
     n = len(signal)
     if args.emit == "residual":
-        write_wav(args.out, dsp.AudioSignal(residual.samples[:n], role=dsp.ROLE_RESIDUAL))
+        write_wav(args.out, dsp.AudioSignal(residual.samples[:n]))
     elif args.emit == "resynth":
         resynth = dsp.lpc_synthesize(residual, track)
         write_wav(args.out, dsp.AudioSignal(resynth.samples[:n]))
     else:  # coeffs-csv
         with open(args.out, "w") as f:
             f.write("frame," + ",".join(f"a{k}" for k in range(1, args.order + 1)) + "\n")
-            for fr in track.frames:
-                f.write(str(fr.frame_index) + "," + ",".join(f"{c:.9g}" for c in fr.coeffs) + "\n")
+            for i, a in enumerate(track.coeffs):
+                f.write(f"{i}," + ",".join(f"{c:.9g}" for c in a) + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -7,7 +7,7 @@ samples) is carried across frame boundaries, with zeros before the first frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter, lfiltic
@@ -15,11 +15,6 @@ from scipy.signal import lfilter, lfiltic
 PIPELINE_RATE = 16000
 DEFAULT_ORDER = 16
 DEFAULT_FRAME_LEN = 320  # 20 ms at 16 kHz
-
-ROLE_SPEECH = "speech"
-ROLE_RESIDUAL = "residual"
-ROLE_FAKE = "fake"
-_ROLES = (ROLE_SPEECH, ROLE_RESIDUAL, ROLE_FAKE)
 
 # Frames whose zero-lag autocorrelation falls below this are treated as silent.
 SILENCE_FLOOR = 1e-10
@@ -29,15 +24,13 @@ REFLECTION_LIMIT = 0.999
 
 @dataclass
 class AudioSignal:
-    """Mono sample sequence with a fixed rate and a pipeline role.
+    """Mono sample sequence at ``PIPELINE_RATE``.
 
     ``samples`` keeps whatever float dtype it is given (float32 at the WAV
     boundary, float64 in numeric tests); values must be finite.
     """
 
     samples: np.ndarray
-    sample_rate: int = PIPELINE_RATE
-    role: str = ROLE_SPEECH
 
     def __post_init__(self):
         self.samples = np.atleast_1d(np.asarray(self.samples))
@@ -47,55 +40,46 @@ class AudioSignal:
             self.samples = self.samples.astype(np.float32)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}, expected one of {_ROLES}")
 
     def __len__(self):
         return len(self.samples)
 
 
 @dataclass
-class LpcFrame:
-    """Predictor coefficients a_1..a_p of one frame; A(z) = 1 - sum(a_k z^-k)."""
+class LpcTrack:
+    """Per-frame LPC fits covering a signal contiguously, ``frame_len`` samples a frame.
 
-    coeffs: np.ndarray
-    gain_error: float
-    frame_index: int
+    ``coeffs[i]`` holds frame i's predictor coefficients a_1..a_p, with
+    A(z) = 1 - sum(a_k z^-k); ``gains[i]`` is its prediction-error power.
+    """
+
+    coeffs: np.ndarray  # (n_frames, order) float64
+    gains: np.ndarray  # (n_frames,) float64, >= 0
+    frame_len: int
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.ndim != 1:
-            raise ValueError("coeffs must be 1-D")
+        self.gains = np.asarray(self.gains, dtype=np.float64)
+        if self.coeffs.ndim != 2:
+            raise ValueError(f"coeffs must be (n_frames, order), got shape {self.coeffs.shape}")
+        if self.gains.shape != (len(self.coeffs),):
+            raise ValueError(f"{len(self.coeffs)} frames but gains of shape {self.gains.shape}")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite LPC coefficients")
-        if self.gain_error < 0:
-            raise ValueError("gain_error must be >= 0")
+        if np.any(self.gains < 0):
+            raise ValueError("gains must be >= 0")
 
-
-@dataclass
-class LpcTrack:
-    """Per-frame coefficient sets covering a signal contiguously."""
-
-    frames: list[LpcFrame] = field(default_factory=list)
-    order: int = DEFAULT_ORDER
-    frame_len: int = DEFAULT_FRAME_LEN
-
-    def __post_init__(self):
-        for f in self.frames:
-            if len(f.coeffs) != self.order:
-                raise ValueError("all frames must share the track order")
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[1]
 
     @property
     def coverage(self) -> int:
         """Total number of samples the track spans."""
-        return len(self.frames) * self.frame_len
+        return len(self.coeffs) * self.frame_len
 
 
-def _sample_array(signal) -> np.ndarray:
-    return signal.samples if isinstance(signal, AudioSignal) else np.asarray(signal)
-
-
-def frame_signal(signal, frame_len: int) -> np.ndarray:
+def frame_signal(x, frame_len: int) -> np.ndarray:
     """Split a signal into contiguous non-overlapping frames, zero-padding the tail.
 
     Returns an (n_frames, frame_len) array whose concatenation reproduces the
@@ -103,7 +87,7 @@ def frame_signal(signal, frame_len: int) -> np.ndarray:
     """
     if frame_len <= 0:
         raise ValueError("frame_len must be positive")
-    x = _sample_array(signal)
+    x = np.asarray(x)
     if x.size == 0:
         raise ValueError("empty input")
     n_frames = -(-x.size // frame_len)
@@ -189,22 +173,18 @@ def lpc_analyze(
     """
     if not 1 <= order < frame_len:
         raise ValueError(f"LPC order must be in 1..{frame_len - 1}, got {order}")
-    _require_rate(signal)
-    frames = frame_signal(signal, frame_len).astype(np.float64)
+    frames = frame_signal(signal.samples, frame_len).astype(np.float64)
     window = np.hamming(frame_len)
-    track = LpcTrack(frames=[], order=order, frame_len=frame_len)
+    coeffs = np.empty((len(frames), order))
+    gains = np.empty(len(frames))
     residual = np.empty(frames.size)
     history = np.zeros(order)
     for i, frame in enumerate(frames):
         r = autocorrelate(frame, order, window)
-        a, err = levinson_durbin(r, order)
-        track.frames.append(LpcFrame(coeffs=a, gain_error=err, frame_index=i))
-        residual[i * frame_len : (i + 1) * frame_len] = inverse_filter(frame, a, history)
+        coeffs[i], gains[i] = levinson_durbin(r, order)
+        residual[i * frame_len : (i + 1) * frame_len] = inverse_filter(frame, coeffs[i], history)
         history = frame[-order:]
-    out = AudioSignal(
-        residual.astype(signal.samples.dtype), signal.sample_rate, ROLE_RESIDUAL
-    )
-    return track, out
+    return LpcTrack(coeffs, gains, frame_len), AudioSignal(residual.astype(signal.samples.dtype))
 
 
 def lpc_synthesize(residual: AudioSignal, track: LpcTrack) -> AudioSignal:
@@ -217,32 +197,26 @@ def lpc_synthesize(residual: AudioSignal, track: LpcTrack) -> AudioSignal:
     out = np.empty(x.size)
     history = np.zeros(track.order)
     fl = track.frame_len
-    for i, lf in enumerate(track.frames):
-        y = synthesis_filter(x[i * fl : (i + 1) * fl].astype(np.float64), lf.coeffs, history)
+    for i, a in enumerate(track.coeffs):
+        y = synthesis_filter(x[i * fl : (i + 1) * fl].astype(np.float64), a, history)
         out[i * fl : (i + 1) * fl] = y
         history = y[-track.order :]
-    return AudioSignal(out.astype(x.dtype), residual.sample_rate, ROLE_SPEECH)
+    return AudioSignal(out.astype(x.dtype))
 
 
-def cross_synthesize(
-    fake: AudioSignal, original_track: LpcTrack, analysis_order: int | None = None
-) -> AudioSignal:
+def cross_synthesize(fake: AudioSignal, original_track: LpcTrack) -> AudioSignal:
     """Transplant the original spectral envelope onto a generated signal.
 
     The fake signal is LPC-analyzed on the same frame grid to extract its own
-    residual, which is then filtered through the original track.
+    residual at the track's order, which is then filtered through the original
+    track.
     """
     if len(fake) != original_track.coverage:
         raise ValueError(
             f"length mismatch: fake has {len(fake)} samples, "
             f"track covers {original_track.coverage}"
         )
-    order = original_track.order if analysis_order is None else analysis_order
-    _, fake_residual = lpc_analyze(fake, order=order, frame_len=original_track.frame_len)
-    out = lpc_synthesize(fake_residual, original_track)
-    return AudioSignal(out.samples, fake.sample_rate, ROLE_FAKE)
-
-
-def _require_rate(signal: AudioSignal):
-    if signal.sample_rate != PIPELINE_RATE:
-        raise ValueError(f"expected {PIPELINE_RATE} Hz, got {signal.sample_rate}")
+    _, fake_residual = lpc_analyze(
+        fake, order=original_track.order, frame_len=original_track.frame_len
+    )
+    return lpc_synthesize(fake_residual, original_track)

@@ -158,7 +158,6 @@ class AdamState:
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}
         self.vmax = {p.name: np.zeros_like(p.data) for p in params}
-        self._scratch = {p.name: np.empty_like(p.data) for p in params}
 
 
 def adam_amsgrad_step(
@@ -172,8 +171,7 @@ def adam_amsgrad_step(
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  vmax <- max(vmax, v);
     theta <- theta - lr * m_hat / (sqrt(vmax_hat) + eps), with the usual
-    1/(1-b^t) bias corrections. Allocation-free: updates run through one
-    persistent scratch buffer per parameter.
+    1/(1-b^t) bias corrections.
     """
     b1, b2 = betas
     state.t += 1
@@ -181,22 +179,14 @@ def adam_amsgrad_step(
     c2 = 1.0 - b2 ** state.t
     for p in params:
         m, v, vmax = state.m[p.name], state.v[p.name], state.vmax[p.name]
-        s = state._scratch[p.name]
+        f = m.dtype.type
         g = p.grad
         m *= b1
-        np.multiply(g, m.dtype.type(1.0 - b1), out=s)
-        m += s
+        m += g * f(1.0 - b1)
         v *= b2
-        np.multiply(g, g, out=s)
-        s *= v.dtype.type(1.0 - b2)
-        v += s
+        v += g * g * f(1.0 - b2)
         np.maximum(vmax, v, out=vmax)
-        np.divide(vmax, vmax.dtype.type(c2), out=s)
-        np.sqrt(s, out=s)
-        s += s.dtype.type(eps)
-        np.divide(m, s, out=s)
-        s *= s.dtype.type(lr / c1)
-        p.data -= s
+        p.data -= m / (np.sqrt(vmax / f(c2)) + f(eps)) * f(lr / c1)
 
 
 # ---------------------------------------------------------------------------

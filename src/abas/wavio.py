@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import AudioSignal, PIPELINE_RATE, ROLE_SPEECH
+from .dsp import AudioSignal, PIPELINE_RATE
 
 PCM16_SCALE = 32768.0
 
@@ -70,7 +70,7 @@ def probe_wav(path) -> WavSpec:
     return spec
 
 
-def read_wav(path, role: str = ROLE_SPEECH) -> AudioSignal:
+def read_wav(path) -> AudioSignal:
     """Load a 16 kHz mono PCM16 file; samples scaled by 1/32768 into [-1, 1)."""
     spec, data = _parse(Path(path).read_bytes())
     if spec.sample_rate != PIPELINE_RATE:
@@ -80,17 +80,18 @@ def read_wav(path, role: str = ROLE_SPEECH) -> AudioSignal:
     if spec.bits_per_sample != 16:
         raise WavFormatError(f"expected 16-bit PCM, got {spec.bits_per_sample}")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / PCM16_SCALE
-    return AudioSignal(samples, PIPELINE_RATE, role)
+    return AudioSignal(samples)
 
 
 def write_wav(path, signal: AudioSignal):
-    """Write PCM16 mono: clamp to [-1, 1 - 1/32768], round half away from zero."""
+    """Write PCM16 mono at ``PIPELINE_RATE``: clamp to [-1, 1 - 1/32768], round
+    half away from zero."""
     x = np.asarray(signal.samples, dtype=np.float64)
     x = np.clip(x, -1.0, 1.0 - 1.0 / PCM16_SCALE)
     scaled = x * PCM16_SCALE
     pcm = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5)).astype("<i2")
     payload = pcm.tobytes()
-    rate = signal.sample_rate
+    rate = PIPELINE_RATE
     header = b"RIFF"
     header += struct.pack("<I", 36 + len(payload))
     header += b"WAVE"

@@ -198,7 +198,7 @@ def test_criterion_08_cross_synthesis_property(tmp_path):
         x = dsp.AudioSignal(clip)
         track, res = dsp.lpc_analyze(x)
         sigma = float(np.sqrt(np.mean(res.samples.astype(np.float64) ** 2)))
-        noise = dsp.AudioSignal(rng.normal(0, sigma, 16000).astype(np.float32), role="fake")
+        noise = dsp.AudioSignal(rng.normal(0, sigma, 16000).astype(np.float32))
         out = dsp.cross_synthesize(noise, track)
         lsd_out = metrics.log_spectral_distance(x, out)
         lsd_noise = metrics.log_spectral_distance(x, noise)
@@ -210,7 +210,7 @@ def test_criterion_08_cross_synthesis_property(tmp_path):
     write_wav(p_in, dsp.AudioSignal(clip))
     x = read_wav(p_in)
     track, _ = dsp.lpc_analyze(x)
-    out = dsp.cross_synthesize(dsp.AudioSignal(x.samples, role="fake"), track)
+    out = dsp.cross_synthesize(dsp.AudioSignal(x.samples), track)
     p_out = tmp_path / "y.wav"
     write_wav(p_out, out)
     val = metrics.ssnr(x, read_wav(p_out))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from abas import autodiff as ad
-from abas import dsp, metrics, model, nn, wavio
+from abas import cli, dsp, metrics, model, nn, wavio
 from abas import train as T
 
 
@@ -49,6 +49,40 @@ def test_train_loop_calls_train_step_through_the_module(monkeypatch, tmp_path):
     with pytest.raises(_Stop):
         T.train_loop(cfg, tmp_path)
     assert len(calls) == 1
+
+
+def test_vocode_hands_write_wav_a_signal_with_samples(monkeypatch, tmp_path):
+    # the benchmark writes its inputs as write_wav(path, AudioSignal(clip)) and
+    # wraps write_wav to read .samples from whatever vocode hands it
+    clip = T.synthesize_clip(np.random.default_rng(0), 528)
+    wavio.write_wav(tmp_path / "in.wav", dsp.AudioSignal(clip))
+    cfg = T.TrainConfig(segment_len=528, seed=2)
+    G, D = T.build_models(cfg)
+    T.save_checkpoint(tmp_path / "a.ckpt", cfg, G, D, T.AdamState(G.parameters()),
+                      T.AdamState(D.parameters()),
+                      np.random.default_rng([cfg.seed, 1]).bit_generator.state, 0)
+    seen = []
+
+    def spy(path, signal, write=wavio.write_wav):
+        seen.append(signal.samples)
+        return write(path, signal)
+
+    monkeypatch.setattr(cli, "write_wav", spy)
+    assert cli.main(["vocode", "--ckpt", str(tmp_path / "a.ckpt"),
+                     "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav")]) == 0
+    assert [s.shape for s in seen] == [(528,)]
+
+
+def test_noise_bundle_draw_takes_rng_channels_length_dtype():
+    z = model.NoiseBundle.draw(np.random.default_rng(0), 3, 5, np.float64)
+    assert (z.base.shape, z.base.dtype) == ((3, 5), np.float64)
+
+
+def test_tape_grad_of_an_input():
+    tape = ad.Tape()
+    x = tape.tensor(np.array([[1.0, 2.0]]))
+    tape.backward(ad.mean_(ad.mul_(x, x)))
+    np.testing.assert_array_equal(tape.grad_of(x), [[1.0, 2.0]])
 
 
 def test_array_pool_can_be_cleared():
