@@ -11,7 +11,7 @@ import numpy as np
 
 from abas import nn
 from abas.autodiff import Parameter, Tensor
-from abas.model import matricize
+from abas.nn import matricize
 
 rng = np.random.default_rng(0)
 

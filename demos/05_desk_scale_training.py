@@ -9,7 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from abas.train import TrainConfig, train_loop
+from abas.train import TrainConfig, load_checkpoint, train_loop
 
 config = TrainConfig(
     batch_size=1,
@@ -23,7 +23,7 @@ print("config:", config.to_dict(), "\n")
 
 out_dir = Path(tempfile.mkdtemp(prefix="abas_demo_train_"))
 t0 = time.time()
-ckpt, history = train_loop(config, out_dir)
+history = train_loop(config, out_dir)
 elapsed = time.time() - t0
 
 print(f"{'step':>4} {'d_loss':>10} {'g_loss':>10} {'l1':>10} {'adv':>10}")
@@ -34,4 +34,5 @@ for i, s in enumerate(history, 1):
 print(f"\n{config.steps} steps in {elapsed:.1f}s "
       f"({elapsed / config.steps:.2f} s/step at segment {config.segment_len})")
 print(f"outputs: {out_dir}/loss.csv, {out_dir}/step_20.ckpt, {out_dir}/final.ckpt")
+ckpt = load_checkpoint(out_dir / "final.ckpt")
 print(f"final checkpoint holds {len(ckpt.tensors)} named tensors at step {ckpt.step}")

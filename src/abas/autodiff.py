@@ -429,6 +429,8 @@ def gated_conv_pair(
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {w_cin}")
     if 2 * pad + 1 != k:
         raise ValueError("gated conv pad must preserve length (k = 2*pad + 1)")
+    if gate_kind not in ("softmax_channel", "sigmoid"):
+        raise ValueError(f"unknown gate kind {gate_kind!r}")
     cols = _im2col(_reflect(xd, pad, pad), k, 1)
 
     ck = c_in * k

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dsp, metrics
 from .train import (
+    CKPT_VERSION,
     CheckpointError,
     TrainConfig,
     TrainDiverged,
@@ -75,7 +76,7 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     _echo("train", config.to_dict())
     out_dir = Path(args.out)
-    ckpt, history = train_loop(config, out_dir, resume_from=args.resume)
+    history = train_loop(config, out_dir, resume_from=args.resume)
     print(f"finished {config.steps} steps; final checkpoint at {out_dir / 'final.ckpt'}")
     if history:
         print(f"last losses: d={history[-1].d_loss:.6g} g={history[-1].g_loss:.6g} l1={history[-1].l1:.6g}")
@@ -90,10 +91,10 @@ def cmd_vocode(args) -> int:
                      "segment_len": config.segment_len, "lpc_order": config.lpc_order,
                      "cond_scale": ckpt.cond_scale})
     signal = read_wav(getattr(args, "in"))
-    n = len(signal)
-    if n < 528:
-        raise ValueError(f"input too short: {n} samples < 528")
     G, D = build_models(config)
+    n, n_min = len(signal), G.cfg.min_input_length
+    if n < n_min:
+        raise ValueError(f"input too short: {n} samples < {n_min}")
     restore_into(ckpt, G, D)
 
     track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
@@ -184,7 +185,7 @@ def cmd_inspect_checkpoint(args) -> int:
     params = G.parameters() + D.parameters()
     n_sn = len(G.sn_entries() + D.sn_entries())
     _echo("inspect-checkpoint", {"ckpt": args.ckpt})
-    print(f"version: {ckpt.version}")
+    print(f"version: {CKPT_VERSION}")
     print(f"step: {ckpt.step}")
     print(f"cond_scale: {ckpt.cond_scale!r}")
     print(f"config: {json.dumps(ckpt.config.to_dict(), sort_keys=True)}")

@@ -40,7 +40,6 @@ from .nn import (
     GatedConvLayer,
     SpectralNormState,
     TConv1d,
-    matricize,  # noqa: F401  (re-exported: tests and demos import it from here)
 )
 
 
@@ -276,7 +275,6 @@ class Discriminator(_Layered):
 
     def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = dtype
         pad = (cfg.kernel // 2 - 1, cfg.kernel // 2 - 1)
         self.layers: list[Conv1d] = []
         prev = 2

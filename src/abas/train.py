@@ -38,7 +38,6 @@ TARGET_RESIDUAL = "residual"
 TARGET_MODES = (TARGET_SPEECH, TARGET_RESIDUAL)
 
 ADAM_EPS = 1e-8
-CROP_GRID = dsp.DEFAULT_FRAME_LEN
 
 CKPT_MAGIC = b"ABAS"
 # Version 2: the channel-softmax gate became unit-gain. Version 3: the
@@ -96,9 +95,10 @@ class TrainConfig:
         if not (isinstance(b, (list, tuple)) and len(b) == 2
                 and all(_is_finite_number(x) and 0.0 <= x < 1.0 for x in b)):
             raise ValueError(f"betas must be two numbers in [0, 1), got {b!r}")
-        seg = self.segment_len
-        if type(seg) is not int or seg % 16 or seg < 528:
-            raise ValueError(f"segment_len must be an int divisible by 16 and >= 528, got {seg!r}")
+        seg, gen = self.segment_len, GeneratorConfig()
+        if type(seg) is not int or seg % gen.compression or seg < gen.min_input_length:
+            raise ValueError(f"segment_len must be an int divisible by {gen.compression} "
+                             f"and >= {gen.min_input_length}, got {seg!r}")
         if self.gate_kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.gate_kind!r}")
         if self.target_mode not in TARGET_MODES:
@@ -251,12 +251,13 @@ def make_batches(
     segment_len: int,
     batch_size: int,
     rng: np.random.Generator,
+    frame_len: int,
 ):
     """Endless stream of batches of (speech, residual) crops.
 
-    Crop offsets are aligned to the LPC frame grid so the residual (computed
-    once per full clip) stays in sync with the speech samples. Clips shorter
-    than segment_len are skipped with a warning.
+    Crop offsets are multiples of the LPC analysis frame length, so every crop
+    starts an analysis frame of its clip (the residual is computed once per
+    full clip). Clips shorter than segment_len are skipped with a warning.
     """
     usable = []
     for i, clip in enumerate(clips):
@@ -271,8 +272,8 @@ def make_batches(
         for _ in range(batch_size):
             ci = usable[int(rng.integers(0, len(usable)))]
             clip, res = clips[ci], residuals[ci]
-            n_pos = (len(clip) - segment_len) // CROP_GRID + 1
-            off = int(rng.integers(0, n_pos)) * CROP_GRID
+            n_pos = (len(clip) - segment_len) // frame_len + 1
+            off = int(rng.integers(0, n_pos)) * frame_len
             batch.append(
                 (
                     clip[off : off + segment_len][None, :],
@@ -422,11 +423,15 @@ def format_loss_row(step: int, s: StepStats) -> str:
 LOSS_HEADER = "step,d_loss,g_loss,l1,adv"
 
 
-def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpoint", list[StepStats]]:
-    """Run (or resume) training; writes loss.csv, periodic step_N.ckpt, final.ckpt.
+def train_loop(config: TrainConfig, out_dir, resume_from=None) -> list[StepStats]:
+    """Run (or resume) training; writes loss.csv, periodic step_N.ckpt, final.ckpt,
+    and returns the stats of the steps it ran.
 
     The models' conditioning scale is computed from the corpus on a fresh run
-    and restored from the checkpoint on a resumed one."""
+    and restored from the checkpoint on a resumed one. A run resumed from step
+    N into a directory that already holds loss.csv keeps that file's header
+    and rows up to step N, and appends the rest; rows after N, which a crashed
+    run may have left, are dropped and computed again."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -445,10 +450,21 @@ def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpo
         rng.bit_generator.state = ckpt.rng_state
         start_step = ckpt.step
 
-    batches = make_batches(clips, residuals, config.segment_len, config.batch_size, rng)
+    batches = make_batches(clips, residuals, config.segment_len, config.batch_size, rng,
+                           config.frame_len)
+    log_path = out_dir / "loss.csv"
+    kept = 0  # characters of an existing loss.csv that a resume keeps
+    if resume_from is not None and log_path.exists():
+        with open(log_path) as log:
+            for i, line in enumerate(log):
+                if not line.endswith("\n") or (i and int(line.split(",")[0]) > start_step):
+                    break
+                kept += len(line)
     history: list[StepStats] = []
-    with open(out_dir / "loss.csv", "w") as log:
-        log.write(LOSS_HEADER + "\n")
+    with open(log_path, "a") as log:
+        log.truncate(kept)
+        if not kept:
+            log.write(LOSS_HEADER + "\n")
         for step in range(start_step + 1, config.steps + 1):
             stats = train_step(next(batches), G, D, opt_g, opt_d, config, rng)
             history.append(stats)
@@ -457,9 +473,9 @@ def train_loop(config: TrainConfig, out_dir, resume_from=None) -> tuple["Checkpo
             if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.steps:
                 save_checkpoint(out_dir / f"step_{step}.ckpt", config, G, D, opt_g, opt_d,
                                 rng.bit_generator.state, step)
-    final = save_checkpoint(out_dir / "final.ckpt", config, G, D, opt_g, opt_d,
-                            rng.bit_generator.state, config.steps)
-    return final, history
+    save_checkpoint(out_dir / "final.ckpt", config, G, D, opt_g, opt_d,
+                    rng.bit_generator.state, config.steps)
+    return history
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +504,6 @@ class TruncatedCheckpoint(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    version: int
     config: TrainConfig
     tensors: dict[str, np.ndarray]  # checkpoint name -> array, in file order
     rng_state: dict
@@ -529,39 +544,21 @@ def _write_tensor(f, name: str, arr: np.ndarray):
     f.write(data.tobytes())
 
 
-def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
-                    opt_g: AdamState, opt_d: AdamState, rng_state: dict, step: int) -> Checkpoint:
-    """Write the training state to path atomically and return it as a Checkpoint,
-    with the models' conditioning scale, which the two must share.
-
-    The returned Checkpoint holds the models' and optimizer states' own
-    arrays, not copies, so it reads any later update to them.
-    """
-    if G.cond_scale != D.cond_scale:
-        raise ValueError(f"G and D disagree on cond_scale: {G.cond_scale} vs {D.cond_scale}")
-    tensors = state_tensors(G, D, opt_g, opt_d)
-    adam_t = {"g": opt_g.t, "d": opt_d.t}
-
-    blob = json.dumps(
-        {
-            "config": config.to_dict(),
-            "rng_state": _jsonable(rng_state),
-            "adam_t": adam_t,
-            "cond_scale": G.cond_scale,
-        }
-    ).encode("utf-8")
-    # write a temp file and rename it over path, so a crash mid-save leaves
-    # the previous checkpoint intact and no partial file behind
+def _write_checkpoint(path, blob: dict, pairs, step: int):
+    """Write magic, version, the JSON metadata blob, the (name, array) tensor
+    records and the step to a temporary file, then rename it over path, so a
+    crash mid-save leaves the previous checkpoint intact and no partial file."""
+    data = json.dumps(blob).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CKPT_MAGIC)
             f.write(struct.pack("<I", CKPT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors.items():
+            f.write(struct.pack("<I", len(data)))
+            f.write(data)
+            f.write(struct.pack("<I", len(pairs)))
+            for name, arr in pairs:
                 _write_tensor(f, name, arr)
             f.write(struct.pack("<Q", step))
             f.flush()
@@ -570,13 +567,18 @@ def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return Checkpoint(CKPT_VERSION, config, tensors, _jsonable(rng_state), step, adam_t,
-                      G.cond_scale)
 
 
-def _jsonable(state):
-    """PCG64 state dicts contain ints only, but normalize defensively."""
-    return json.loads(json.dumps(state))
+def save_checkpoint(path, config: TrainConfig, G: Generator, D: Discriminator,
+                    opt_g: AdamState, opt_d: AdamState, rng_state: dict, step: int):
+    """Write the training state to path atomically, with the models'
+    conditioning scale, which the two must share. ``load_checkpoint`` reads
+    it back."""
+    if G.cond_scale != D.cond_scale:
+        raise ValueError(f"G and D disagree on cond_scale: {G.cond_scale} vs {D.cond_scale}")
+    blob = {"config": config.to_dict(), "rng_state": rng_state,
+            "adam_t": {"g": opt_g.t, "d": opt_d.t}, "cond_scale": G.cond_scale}
+    _write_checkpoint(path, blob, state_tensors(G, D, opt_g, opt_d).items(), step)
 
 
 class _Reader:
@@ -655,8 +657,7 @@ def load_checkpoint(path) -> Checkpoint:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         tensors[name] = r.floats(count).reshape(shape)
     step = r.u64()
-    return Checkpoint(version, config, tensors, blob["rng_state"], step, blob["adam_t"],
-                      float(cond_scale))
+    return Checkpoint(config, tensors, blob["rng_state"], step, blob["adam_t"], float(cond_scale))
 
 
 def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,

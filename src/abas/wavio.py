@@ -8,7 +8,6 @@ files carry the canonical 44-byte header.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +21,8 @@ class WavFormatError(ValueError):
     pass
 
 
-@dataclass
-class WavSpec:
-    sample_rate: int
-    channels: int
-    bits_per_sample: int
-    data_length: int  # samples
-
-
-def _parse(raw: bytes) -> tuple[WavSpec, bytes]:
+def _parse(raw: bytes) -> tuple[int, int, int, bytes]:
+    """(sample rate, channels, bits per sample, data chunk) of a PCM WAV file."""
     if len(raw) < 12 or raw[:4] != b"RIFF":
         raise WavFormatError("not a RIFF file")
     if raw[8:12] != b"WAVE":
@@ -60,25 +52,18 @@ def _parse(raw: bytes) -> tuple[WavSpec, bytes]:
     tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if tag != 1:
         raise WavFormatError(f"unsupported non-PCM format (tag {tag})")
-    spec = WavSpec(rate, channels, bits, len(data) // 2)
-    return spec, data
-
-
-def probe_wav(path) -> WavSpec:
-    """Header info without converting samples."""
-    spec, _ = _parse(Path(path).read_bytes())
-    return spec
+    return rate, channels, bits, data
 
 
 def read_wav(path) -> AudioSignal:
     """Load a 16 kHz mono PCM16 file; samples scaled by 1/32768 into [-1, 1)."""
-    spec, data = _parse(Path(path).read_bytes())
-    if spec.sample_rate != PIPELINE_RATE:
-        raise WavFormatError(f"expected {PIPELINE_RATE} Hz, got {spec.sample_rate}")
-    if spec.channels != 1:
-        raise WavFormatError(f"expected mono, got {spec.channels} channels")
-    if spec.bits_per_sample != 16:
-        raise WavFormatError(f"expected 16-bit PCM, got {spec.bits_per_sample}")
+    rate, channels, bits, data = _parse(Path(path).read_bytes())
+    if rate != PIPELINE_RATE:
+        raise WavFormatError(f"expected {PIPELINE_RATE} Hz, got {rate}")
+    if channels != 1:
+        raise WavFormatError(f"expected mono, got {channels} channels")
+    if bits != 16:
+        raise WavFormatError(f"expected 16-bit PCM, got {bits}")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / PCM16_SCALE
     return AudioSignal(samples)
 

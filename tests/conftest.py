@@ -70,13 +70,5 @@ def rewrite_checkpoint(src, dst, edit=None, edit_file=None):
     pairs = list(tensors.items())
     if edit_file is not None:
         edit_file(blob, pairs)
-    data = json.dumps(blob).encode("utf-8")
-    with open(dst, "wb") as f:
-        f.write(raw[:8])  # magic, version
-        f.write(struct.pack("<I", len(data)))
-        f.write(data)
-        f.write(struct.pack("<I", len(pairs)))
-        for name, arr in pairs:
-            T._write_tensor(f, name, arr)
-        f.write(struct.pack("<Q", ckpt.step))
+    T._write_checkpoint(dst, blob, pairs, ckpt.step)
     return dst

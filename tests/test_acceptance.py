@@ -19,9 +19,8 @@ from abas.model import (
     Generator,
     GeneratorConfig,
     NoiseBundle,
-    matricize,
 )
-from abas.nn import SpectralNormState, estimate_sigma
+from abas.nn import SpectralNormState, estimate_sigma, matricize
 from abas.verify import gradient_suite
 from abas.wavio import read_wav, write_wav
 
@@ -141,7 +140,7 @@ def test_criterion_06_overfit_smoke(tmp_path):
         gamma=0.5, batch_size=2, segment_len=1600, steps=300, seed=0,
         synthetic={"n_clips": 1, "clip_len": 1600},
     )
-    _, history = T.train_loop(cfg, tmp_path)
+    history = T.train_loop(cfg, tmp_path)
     elapsed = time.perf_counter() - t0
     l1 = [s.l1 for s in history]
     assert all(
@@ -164,7 +163,7 @@ def test_criterion_07_ablation_harness(tmp_path):
     runs = {}
     for gate in ("softmax_channel", "sigmoid"):
         cfg = T.TrainConfig(gate_kind=gate, **base)
-        _, history = T.train_loop(cfg, tmp_path / gate)
+        history = T.train_loop(cfg, tmp_path / gate)
         rows = (tmp_path / gate / "loss.csv").read_text().strip().split("\n")
         assert rows[0] == T.LOSS_HEADER and len(rows) == 301
         runs[gate] = history
@@ -175,7 +174,7 @@ def test_criterion_07_ablation_harness(tmp_path):
     sm, sg = tail_mean(runs["softmax_channel"]), tail_mean(runs["sigmoid"])
     for mode in ("speech", "residual"):
         cfg = T.TrainConfig(target_mode=mode, **base)
-        _, history = T.train_loop(cfg, tmp_path / mode)
+        history = T.train_loop(cfg, tmp_path / mode)
         rows = (tmp_path / mode / "loss.csv").read_text().strip().split("\n")
         assert len(rows) == 301
         runs[mode] = history

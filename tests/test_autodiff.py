@@ -262,6 +262,14 @@ class TestChannelSoftmax:
         assert np.all((y.data >= 0) & (y.data <= 1))
 
 
+class TestGatedConvPair:
+    @pytest.mark.parametrize("kind", ["softmax", "Sigmoid", "sigmoid ", ""])
+    def test_unknown_gate_kind_rejected(self, rng, kind):
+        w = rng.normal(size=(2, 3, 5))
+        with pytest.raises(ValueError, match=f"unknown gate kind {kind!r}"):
+            ad.gated_conv_pair(Tensor(rng.normal(size=(3, 12))), w, None, w, None, 2, kind)
+
+
 class TestPointwise:
     def test_prelu(self):
         tape = Tape()

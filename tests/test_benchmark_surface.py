@@ -127,6 +127,16 @@ def test_wrapped_functions_are_module_attributes(module, name):
     assert inspect.isfunction(getattr(module, name))
 
 
+def test_layer_names():
+    # the benchmark groups layer spans by .name on Conv1d and TConv1d, and by
+    # the name of a GatedConvLayer's filter conv with its ".filter" cut off
+    rng = np.random.default_rng(0)
+    assert nn.Conv1d(rng, "a.conv", 2, 3, 4, 2, (1, 1), "zero").name == "a.conv"
+    assert nn.TConv1d(rng, "a.tconv", 2, 3, 4, 2, (1, 1)).name == "a.tconv"
+    gated = nn.GatedConvLayer(rng, "a.gated", 2, 2, 5, nn.GATE_SOFTMAX)
+    assert gated.filter.name == "a.gated.filter"
+
+
 def test_gated_conv_pair_signature():
     # the benchmark reads the input and filter weight as the first two arguments
     assert list(inspect.signature(ad.gated_conv_pair).parameters) == [

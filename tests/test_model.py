@@ -12,9 +12,8 @@ from abas.model import (
     Generator,
     GeneratorConfig,
     NoiseBundle,
-    matricize,
 )
-from abas.nn import GATE_KINDS, SpectralNormState
+from abas.nn import GATE_KINDS, SpectralNormState, matricize
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 from abas import autodiff as ad
 from abas import nn
 from abas.autodiff import Parameter, Tape, Tensor
-from abas.model import matricize
+from abas.nn import matricize
 
 
 class TestGatedConv:

@@ -28,8 +28,12 @@ def tiny_setup(cfg, model_seed=3):
     clips = T.load_corpus(cfg)
     residuals = T.residuals_for(clips, cfg.lpc_order, cfg.frame_len)
     rng = np.random.default_rng([cfg.seed, 1])
-    batches = T.make_batches(clips, residuals, cfg.segment_len, cfg.batch_size, rng)
+    batches = T.make_batches(clips, residuals, cfg.segment_len, cfg.batch_size, rng, cfg.frame_len)
     return G, D, opt_g, opt_d, batches, rng, clips, residuals
+
+
+class _Stop(Exception):
+    pass
 
 
 class _InputSpy:
@@ -173,16 +177,35 @@ class TestMakeBatches:
         clips = T.load_corpus(cfg)
         marked = [np.arange(len(c), dtype=np.float32) for c in clips]
         rng = np.random.default_rng(0)
-        batches = T.make_batches(marked, marked, 1600, 4, rng)
+        batches = T.make_batches(marked, marked, 1600, 4, rng, cfg.frame_len)
         for _ in range(10):
             for x, r in next(batches):
                 assert int(x[0, 0]) % 320 == 0
                 assert np.array_equal(x, r)
 
+    def test_train_loop_crops_on_the_analysis_frame(self, monkeypatch, tmp_path):
+        # at 30 ms the analysis frame is 480 samples; every crop must start one
+        cfg = T.TrainConfig(frame_ms=30, batch_size=16, segment_len=528, steps=1,
+                            synthetic={"n_clips": 2, "clip_len": 4800})
+        clips = T.load_corpus(cfg)
+        offsets = []
+
+        def spy(batch, *args):
+            for x, _ in batch:
+                offsets.extend(int(o) for c in clips for o in np.flatnonzero(c == x[0, 0])
+                               if np.array_equal(c[o : o + 528], x[0]))
+            raise _Stop
+
+        monkeypatch.setattr(T, "train_step", spy)
+        with pytest.raises(_Stop):
+            T.train_loop(cfg, tmp_path)
+        assert len(offsets) == 16
+        assert [o % 480 for o in offsets] == [0] * len(offsets)
+
     def test_coverage_in_expectation(self):
         clips = [np.full(1600, float(i), dtype=np.float32) for i in range(4)]
         rng = np.random.default_rng(1)
-        batches = T.make_batches(clips, clips, 1600, 4, rng)
+        batches = T.make_batches(clips, clips, 1600, 4, rng, 320)
         seen = set()
         for _ in range(8):
             for x, _ in next(batches):
@@ -194,7 +217,7 @@ class TestMakeBatches:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(9)
-            batches = T.make_batches(clips, clips, 1600, 2, rng)
+            batches = T.make_batches(clips, clips, 1600, 2, rng, 320)
             seqs.append([int(x[0, 0]) for _ in range(5) for x, _ in next(batches)])
         assert seqs[0] == seqs[1]
 
@@ -202,14 +225,14 @@ class TestMakeBatches:
         clips = [np.zeros(100, np.float32), np.zeros(1600, np.float32)]
         rng = np.random.default_rng(0)
         with pytest.warns(UserWarning, match="shorter than segment_len"):
-            batches = T.make_batches(clips, clips, 1600, 1, rng)
+            batches = T.make_batches(clips, clips, 1600, 1, rng, 320)
             next(batches)
 
     def test_all_clips_too_short(self):
         clips = [np.zeros(100, np.float32)]
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="segment longer"):
-                next(T.make_batches(clips, clips, 1600, 1, np.random.default_rng(0)))
+                next(T.make_batches(clips, clips, 1600, 1, np.random.default_rng(0), 320))
 
 
 class TestTrainConfig:
@@ -434,13 +457,21 @@ class TestCheckpoint:
         return cfg, T.train_loop(cfg, tmp_path)
 
     def test_round_trip_bit_exact(self, tmp_path):
-        cfg, (ckpt, _) = self._small_run(tmp_path)
+        # file -> restored models -> file again: same tensors, same bytes
+        cfg, _ = self._small_run(tmp_path)
         loaded = T.load_checkpoint(tmp_path / "final.ckpt")
         assert loaded.step == cfg.steps
         assert loaded.config == cfg
-        assert list(loaded.tensors) == list(ckpt.tensors)
-        for name, arr in ckpt.tensors.items():
-            assert np.array_equal(loaded.tensors[name], arr)
+        G, D = T.build_models(loaded.config)
+        opt_g, opt_d = T.AdamState(G.parameters()), T.AdamState(D.parameters())
+        T.restore_into(loaded, G, D, opt_g, opt_d)
+        live = T.state_tensors(G, D, opt_g, opt_d)
+        assert list(loaded.tensors) == list(live)
+        for name, arr in live.items():
+            assert np.array_equal(loaded.tensors[name], arr), name
+        T.save_checkpoint(tmp_path / "again.ckpt", loaded.config, G, D, opt_g, opt_d,
+                          loaded.rng_state, loaded.step)
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "final.ckpt").read_bytes()
 
     def test_tensor_order(self, one_step_ckpt):
         # the README's layout: every parameter, then .m/.v/.vmax per
@@ -602,11 +633,11 @@ class TestCheckpoint:
         opt_g, opt_d = T.AdamState(G.parameters()), T.AdamState(D.parameters())
         tracemalloc.start()
         try:
-            ckpt = T.save_checkpoint(tmp_path / "a.ckpt", cfg, G, D, opt_g, opt_d, {}, 0)
+            T.save_checkpoint(tmp_path / "a.ckpt", cfg, G, D, opt_g, opt_d, {}, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tensor_bytes = sum(a.nbytes for a in ckpt.tensors.values())
+        tensor_bytes = sum(a.nbytes for a in T.state_tensors(G, D, opt_g, opt_d).values())
         assert tensor_bytes > 50e6  # default models with their Adam moments
         assert peak < 0.1 * tensor_bytes, f"peak {peak} B while saving {tensor_bytes} B"
 
@@ -669,7 +700,7 @@ class TestTrainLoop:
             batch_size=2, segment_len=528, steps=4, seed=5, checkpoint_every=2,
             synthetic={"n_clips": 2, "clip_len": 2080},
         )
-        ckpt, history = T.train_loop(cfg, tmp_path)
+        history = T.train_loop(cfg, tmp_path)
         lines = (tmp_path / "loss.csv").read_text().strip().split("\n")
         assert lines[0] == T.LOSS_HEADER
         assert len(lines) == 5
@@ -710,6 +741,22 @@ class TestTrainLoop:
         assert list(full.tensors) == list(resumed.tensors)
         for name in full.tensors:
             assert np.array_equal(full.tensors[name], resumed.tensors[name]), name
+
+    def test_resume_in_place_keeps_logged_rows(self, tmp_path):
+        # a run that logged rows 1..3 and saved step_2.ckpt, resumed from step
+        # 2: in its own directory loss.csv must end as the uninterrupted run's;
+        # in a fresh one it holds the header and row 3
+        cfg = T.TrainConfig(
+            batch_size=1, segment_len=528, steps=3, seed=5, checkpoint_every=2,
+            synthetic={"n_clips": 1, "clip_len": 2080},
+        )
+        T.train_loop(cfg, tmp_path)
+        uninterrupted = (tmp_path / "loss.csv").read_bytes()
+        T.train_loop(cfg, tmp_path / "fresh", resume_from=tmp_path / "step_2.ckpt")
+        T.train_loop(cfg, tmp_path, resume_from=tmp_path / "step_2.ckpt")
+        assert (tmp_path / "loss.csv").read_bytes() == uninterrupted
+        rows = uninterrupted.decode().splitlines()
+        assert (tmp_path / "fresh" / "loss.csv").read_text().splitlines() == [rows[0], rows[3]]
 
     def test_empty_corpus(self, tmp_path):
         cfg = T.TrainConfig(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abas.dsp import AudioSignal
-from abas.wavio import PCM16_SCALE, WavFormatError, probe_wav, read_wav, write_wav
+from abas.wavio import PCM16_SCALE, WavFormatError, read_wav, write_wav
 
 
 def make_wav_bytes(rate=16000, channels=1, bits=16, tag=1, samples=b"\x00\x00", extra_chunk=False):
@@ -111,11 +111,3 @@ class TestWrite:
         assert np.array_equal(back.samples, sig.samples)
         write_wav(tmp_path / "b.wav", back)
         assert (tmp_path / "b.wav").read_bytes() == p.read_bytes()
-
-    def test_probe(self, tmp_path):
-        p = tmp_path / "a.wav"
-        write_wav(p, AudioSignal(np.zeros(320, dtype=np.float32)))
-        spec = probe_wav(p)
-        assert (spec.sample_rate, spec.channels, spec.bits_per_sample, spec.data_length) == (
-            16000, 1, 16, 320,
-        )

@@ -12,6 +12,8 @@ echoes its arguments) are the same on both sides:
 - ``train`` for each gate and each target (batch 2, segment 1600, 4 steps,
   a checkpoint every 2 steps), and a resume from step 2 to step 4;
 - ``vocode`` with and without ``--skip-cross-synth``;
+- ``train --config`` with a JSON config file that sets ``lpc_order`` 12
+  (4 steps), and ``vocode`` with that checkpoint;
 - ``cross-synth --order 12``;
 - ``lpc`` with each of its three ``--emit`` kinds;
 - ``inspect-checkpoint``.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -37,6 +40,7 @@ from pathlib import Path
 GATES = ("softmax", "sigmoid")
 TARGETS = ("speech", "residual")
 TRAIN = ["--batch", "2", "--seg-len", "1600", "--seed", "0"]
+CONFIG_FILE, CONFIG = "order12.json", {"lpc_order": 12}
 
 
 def scenario() -> list[tuple[str, list[str]]]:
@@ -58,6 +62,10 @@ def scenario() -> list[tuple[str, list[str]]]:
                     "--seed", "1"]),
         ("vocode_raw", ["vocode", "--ckpt", ckpt, "--in", clip, "--out", "vocoded_raw.wav",
                         "--seed", "1", "--skip-cross-synth"]),
+        ("train_order12", ["train", "--config", CONFIG_FILE, "--corpus", "corpus",
+                           "--out", "train_order12", "--steps", "4", *TRAIN]),
+        ("vocode_order12", ["vocode", "--ckpt", "train_order12/final.ckpt", "--in", clip,
+                            "--out", "vocoded_order12.wav", "--seed", "1"]),
         ("cross_synth", ["cross-synth", "--carrier", "corpus/clip_001.wav",
                          "--envelope", clip, "--order", "12", "--out", "cross.wav"]),
         *((f"lpc_{emit}", ["lpc", "--in", clip, "--emit", emit,
@@ -73,6 +81,7 @@ def run_side(src: Path, run_dir: Path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src.resolve()))
     logs = run_dir / "logs"
     logs.mkdir(parents=True)
+    (run_dir / CONFIG_FILE).write_text(json.dumps(CONFIG))
     for label, args in scenario():
         proc = subprocess.run([sys.executable, "-m", "abas.cli", *args], cwd=run_dir,
                               env=env, capture_output=True)
