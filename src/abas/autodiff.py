@@ -234,14 +234,27 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # convolution kernels
 #
 # All heavy work routes through GEMMs. conv1d picks one of two lowerings from
-# the shapes alone. In general it builds an explicit (c_in*k, T) im2col matrix
-# of the input once, and the forward pass and both gradients share it. A
-# stride-1 conv that narrows (c_out < c_in) instead lowers on the output side:
-# one GEMM gives every tap's contribution at every position, a (c_out*k, L)
-# matrix, and a sum along its diagonals gives the output; its backward works
-# on the im2col of the (c_out, T) output gradient. That keeps a 64 -> 1
-# channel conv from copying its input k times. Cross-correlation convention
-# throughout: no kernel flip.
+# the shapes alone. In general it multiplies the weights with the (c_in*k, T)
+# im2col matrix of the padded input, built IM2COL_BLOCK output columns at a
+# time in one reused buffer, so the whole matrix (k times the input) never
+# exists in the forward pass. The tape keeps the padded input instead:
+# backward rebuilds the whole matrix for the weight-gradient GEMM and frees
+# it before the input-gradient GEMM. A stride-1 conv that narrows
+# (c_out < c_in) instead lowers on the output side: one GEMM gives every
+# tap's contribution at every position, a (c_out*k, L) matrix, and a sum
+# along its diagonals gives the output; its backward works on the im2col of
+# the (c_out, T) output gradient. That keeps a 64 -> 1 channel conv from
+# copying its input k times. Cross-correlation convention throughout: no
+# kernel flip.
+
+# Output columns per forward GEMM of the im2col lowering. The blocked product
+# is bit-identical to the one-GEMM product only while OpenBLAS takes the same
+# kernel path for every column: blocks start on multiples of this width (a
+# multiple of the kernels' column grid, 8 or 16), and the last block also
+# takes the remainder, so no block is narrower than the width unless the
+# whole output is (a narrow call can fall to the small-matrix kernels, or at
+# one column to gemv, which sum in another order).
+IM2COL_BLOCK = 1024
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -256,13 +269,35 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 
 def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k]."""
+    """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k].
+
+    Each stride phase of out (every stride-th sample) is one contiguous row of
+    an accumulator, and the taps are added in ascending order, so every output
+    sums its terms in the order of a plain strided scatter-add."""
     C, K, T = cols.shape
-    out = np.zeros((C, out_len), cols.dtype)
-    span = (T - 1) * stride + 1
+    n = -(-out_len // stride)
+    phases = np.zeros((C, stride, n), cols.dtype)
     for k in range(K):
-        out[:, k : k + span : stride] += cols[:, k, :]
-    return out
+        q, p = divmod(k, stride)
+        phases[:, p, q : q + T] += cols[:, k, :]
+    return phases.transpose(0, 2, 1).reshape(C, n * stride)[:, :out_len]
+
+
+def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """w_mat @ _im2col(xp, k, stride), with the columns built IM2COL_BLOCK
+    outputs at a time in one buffer that every block reuses."""
+    c = xp.shape[0]
+    t_out = (xp.shape[1] - k) // stride + 1
+    n_blocks = max(1, t_out // IM2COL_BLOCK)  # the last block takes the remainder
+    edges = [i * IM2COL_BLOCK for i in range(n_blocks)] + [t_out]
+    buf = np.empty((c, k, t_out - edges[-2]), xp.dtype)
+    cols = buf.reshape(c * k, -1)
+    win = sliding_window_view(xp, k, axis=1)[:, ::stride]  # (c, t_out, k) view
+    y = np.empty((w_mat.shape[0], t_out), np.result_type(w_mat, xp))
+    for t0, t1 in zip(edges, edges[1:]):
+        np.copyto(buf[:, :, : t1 - t0], win[:, t0:t1].transpose(0, 2, 1))
+        np.matmul(w_mat, cols[:, : t1 - t0], out=y[:, t0:t1])
+    return y
 
 
 def _pad_zero(x: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -320,9 +355,8 @@ def conv1d(
         for j in range(1, k):
             y += taps[:, j, j : j + t_out]
     else:
-        cols = _im2col(xp, k, stride)
         w_mat = w_data.reshape(c_out, c_in * k)
-        y = np.matmul(w_mat, cols)
+        y = _im2col_matmul(w_mat, xp, k, stride)
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
@@ -338,7 +372,8 @@ def conv1d(
             gx = np.matmul(w_rev, gcols)
         else:
             if w_id >= 0:
-                out.append((w_id, np.matmul(g, cols.T).reshape(w_data.shape)))
+                gw = np.matmul(g, _im2col(xp, k, stride).T)
+                out.append((w_id, gw.reshape(w_data.shape)))
             gcols = np.matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
             gx = _fold(gcols, stride, lp)
         if b_id >= 0:
@@ -408,11 +443,13 @@ def gated_conv_pair(
     is 1; an unscaled softmax would shrink the signal about ``c_out``-fold per
     layer, down to subnormal floats within a few layers.
 
-    The filter and gate convolutions share one reflect pad and one im2col, and
-    their weights are stacked into a single GEMM, which matters because gated
-    layers dominate the generator's cost. Produces the exact values of the
-    equivalent op composition (GEMM rows are independent), with the softmax
-    gate composed as ``scale_(channel_softmax(gate), c_out)``.
+    The filter and gate convolutions share one reflect pad and one blocked
+    im2col product (see _im2col_matmul), with their weights stacked into one
+    GEMM per block, which matters because gated layers dominate the
+    generator's cost; backward rebuilds the im2col matrix only for the weight
+    gradient. Produces the exact values of the equivalent op composition
+    (GEMM rows are independent), with the softmax gate composed as
+    ``scale_(channel_softmax(gate), c_out)``.
     """
     tape = x.tape
     x_id = x.node_id
@@ -431,11 +468,10 @@ def gated_conv_pair(
         raise ValueError("gated conv pad must preserve length (k = 2*pad + 1)")
     if gate_kind not in ("softmax_channel", "sigmoid"):
         raise ValueError(f"unknown gate kind {gate_kind!r}")
-    cols = _im2col(_reflect(xd, pad, pad), k, 1)
-
+    xp = _reflect(xd, pad, pad)
     ck = c_in * k
     w_stack = np.concatenate([wf.reshape(c_out, ck), wg.reshape(c_out, ck)])
-    y_stack = np.matmul(w_stack, cols)
+    y_stack = _im2col_matmul(w_stack, xp, k, 1)
     yf, yg = y_stack[:c_out], y_stack[c_out:]
     if bf is not None:
         yf += bf.reshape(-1, 1)
@@ -464,7 +500,7 @@ def gated_conv_pair(
         d_stack = np.concatenate([d_yf, d_yg])
         out = []
         if wf_id >= 0 or wg_id >= 0:
-            gw_stack = np.matmul(d_stack, cols.T)
+            gw_stack = np.matmul(d_stack, _im2col(xp, k, 1).T)
             if wf_id >= 0:
                 out.append((wf_id, gw_stack[:c_out].reshape(wf.shape)))
             if wg_id >= 0:

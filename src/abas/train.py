@@ -257,7 +257,8 @@ def make_batches(
 
     Crop offsets are multiples of the LPC analysis frame length, so every crop
     starts an analysis frame of its clip (the residual is computed once per
-    full clip). Clips shorter than segment_len are skipped with a warning.
+    full clip). Clips shorter than segment_len are skipped with a warning, and
+    a corpus with no usable clip raises here, before the first batch is drawn.
     """
     usable = []
     for i, clip in enumerate(clips):
@@ -267,20 +268,24 @@ def make_batches(
         usable.append(i)
     if not usable:
         raise ValueError("segment longer than every clip in the corpus")
-    while True:
-        batch = []
-        for _ in range(batch_size):
-            ci = usable[int(rng.integers(0, len(usable)))]
-            clip, res = clips[ci], residuals[ci]
-            n_pos = (len(clip) - segment_len) // frame_len + 1
-            off = int(rng.integers(0, n_pos)) * frame_len
-            batch.append(
-                (
-                    clip[off : off + segment_len][None, :],
-                    res[off : off + segment_len][None, :],
+
+    def stream():
+        while True:
+            batch = []
+            for _ in range(batch_size):
+                ci = usable[int(rng.integers(0, len(usable)))]
+                clip, res = clips[ci], residuals[ci]
+                n_pos = (len(clip) - segment_len) // frame_len + 1
+                off = int(rng.integers(0, n_pos)) * frame_len
+                batch.append(
+                    (
+                        clip[off : off + segment_len][None, :],
+                        res[off : off + segment_len][None, :],
+                    )
                 )
-            )
-        yield batch
+            yield batch
+
+    return stream()
 
 
 def residuals_for(clips: list[np.ndarray], order: int, frame_len: int) -> list[np.ndarray]:

@@ -30,7 +30,7 @@ def conv_reference(x, w, b, stride, pad, pad_mode):
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, extra_len=24):
     """conv1d arguments in float64: both channel orderings, so both lowerings."""
     c_in, c_out = draw(st.integers(1, 6), label="c_in"), draw(st.integers(1, 6), label="c_out")
     k, stride = draw(st.integers(1, 9), label="k"), draw(st.integers(1, 3), label="stride")
@@ -39,7 +39,7 @@ def conv_cases(draw):
     min_len = max(1, k - sum(pad))
     if pad_mode == "reflect":
         min_len = max(min_len, pad[0] + 1, pad[1] + 1)
-    length = draw(st.integers(min_len, min_len + 24), label="length")
+    length = draw(st.integers(min_len, min_len + extra_len), label="length")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     x = rng.standard_normal((c_in, length))
     w = rng.standard_normal((c_out, c_in, k))
@@ -143,6 +143,110 @@ class TestConv1dProperties:
         assert float(np.vdot(jx, g)) == pytest.approx(
             float(np.vdot(dx, tape.grad_of(xt))), rel=1e-10, abs=1e-10)
         assert float(np.vdot(jw, g)) == pytest.approx(float(np.vdot(dw, wp.grad)), rel=1e-10, abs=1e-10)
+
+
+# Narrowest im2col block width on the GEMM kernels' column grid (8 columns
+# for OpenBLAS's AVX-512 dgemm, 16 for its small-matrix sgemm): a block that
+# starts off that grid sums its last columns in another order than the
+# one-GEMM product does.
+SMALL_BLOCK = 16
+
+
+def at_block_width(width, fn):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "IM2COL_BLOCK", width)
+        return fn()
+
+
+def strided_scatter_add(cols, stride, out_len):
+    """The adjoint of im2col as one strided add per tap, taps ascending."""
+    c, taps, t = cols.shape
+    out = np.zeros((c, out_len), cols.dtype)
+    span = (t - 1) * stride + 1
+    for j in range(taps):
+        out[:, j : j + span : stride] += cols[:, j, :]
+    return out
+
+
+def conv_run(x, w, b, stride, pad, pad_mode, g):
+    """conv1d output and its gradients w.r.t. x, w and b for the loss <y, g>."""
+    wp, bp = Parameter("w", w), Parameter("b", b)
+    tape = Tape()
+    xt = tape.tensor(x)
+    y = ad.conv1d(xt, wp, bp, stride, pad, pad_mode)
+    tape.backward(ad.scale_(ad.mean_(ad.mul_(y, Tensor(g))), g.size))
+    return y.data, tape.grad_of(xt), wp.grad, bp.grad
+
+
+@st.composite
+def gated_cases(draw):
+    """gated_conv_pair arguments in float64, both gates, lengths over several blocks."""
+    c_in, c_out = draw(st.integers(1, 6), label="c_in"), draw(st.integers(1, 6), label="c_out")
+    pad = draw(st.integers(0, 4), label="pad")
+    gate = draw(st.sampled_from(["softmax_channel", "sigmoid"]), label="gate")
+    length = draw(st.integers(pad + 1, 6 * SMALL_BLOCK), label="length")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    k = 2 * pad + 1
+    x = rng.standard_normal((c_in, length))
+    weights = [rng.standard_normal((c_out, c_in, k)), rng.standard_normal(c_out),
+               rng.standard_normal((c_out, c_in, k)), rng.standard_normal(c_out)]
+    return x, weights, pad, gate, rng.standard_normal((c_out, length))
+
+
+def gated_run(x, weights, pad, gate, g):
+    """gated_conv_pair output and its gradients w.r.t. x and all four weights."""
+    params = [Parameter(name, w) for name, w in zip(("wf", "bf", "wg", "bg"), weights)]
+    tape = Tape()
+    xt = tape.tensor(x)
+    y = ad.gated_conv_pair(xt, *params, pad, gate)
+    tape.backward(ad.scale_(ad.mean_(ad.mul_(y, Tensor(g))), g.size))
+    return (y.data, tape.grad_of(xt), *(p.grad for p in params))
+
+
+class TestIm2colBlocks:
+    """The blocked im2col product gives the bits of the one-GEMM product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases(extra_len=6 * SMALL_BLOCK))
+    def test_conv1d_blocks_invisible(self, case):
+        x, w, b, stride, pad, pad_mode, rng = case
+        t_out = (x.shape[1] + sum(pad) - w.shape[2]) // stride + 1
+        g = rng.standard_normal((w.shape[0], t_out))
+        whole = conv_run(x, w, b, stride, pad, pad_mode, g)
+        blocked = at_block_width(SMALL_BLOCK, lambda: conv_run(x, w, b, stride, pad, pad_mode, g))
+        for a, b_ in zip(whole, blocked):
+            assert np.array_equal(a, b_)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gated_cases())
+    def test_gated_conv_pair_blocks_invisible(self, case):
+        whole = gated_run(*case)
+        blocked = at_block_width(SMALL_BLOCK, lambda: gated_run(*case))
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+    def test_full_size_float32(self, rng):
+        # an upsampler gated conv at a vocode segment (32 ch, L 16000, k 65,
+        # filter and gate stacked) and G.enc.down1 (stride 2), at this
+        # process's BLAS thread count
+        x = rng.standard_normal((32, 16000), dtype=np.float32)
+        xp = ad._reflect(x, 32, 32)
+        w = rng.standard_normal((64, 32 * 65), dtype=np.float32)
+        assert np.array_equal(ad._im2col_matmul(w, xp, 65, 1), w @ ad._im2col(xp, 65, 1))
+        x2 = rng.standard_normal((32, 8000), dtype=np.float32)
+        w2 = rng.standard_normal((64, 32, 64), dtype=np.float32)
+        y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
+        ref = w2.reshape(64, -1) @ ad._im2col(ad._pad_zero(x2, 31, 31), 64, 2)
+        assert np.array_equal(y.data, ref)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("taps", [4, 5, 64, 65])
+    def test_fold_matches_strided_scatter_add(self, rng, stride, taps):
+        cols = rng.standard_normal((3, taps, 50), dtype=np.float32)
+        raw = 49 * stride + taps
+        for out_len in (raw, raw + stride - 1):
+            assert np.array_equal(ad._fold(cols, stride, out_len),
+                                  strided_scatter_add(cols, stride, out_len))
 
 
 class TestTconv1d:
@@ -268,6 +372,36 @@ class TestGatedConvPair:
         w = rng.normal(size=(2, 3, 5))
         with pytest.raises(ValueError, match=f"unknown gate kind {kind!r}"):
             ad.gated_conv_pair(Tensor(rng.normal(size=(3, 12))), w, None, w, None, 2, kind)
+
+    def test_tapeless_memory(self, rng):
+        # an upsampler gated conv at a vocode segment: its whole (32*65, 16000)
+        # im2col matrix would be 65 times the input
+        x = rng.standard_normal((32, 16000), dtype=np.float32)
+        w = rng.standard_normal((32, 32, 65), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = ad.gated_conv_pair(Tensor(x), w, None, w, None, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.data.shape == x.shape
+        assert peak < 16 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+    @pytest.mark.parametrize("gate", ["softmax_channel", "sigmoid"])
+    def test_taped_forward_keeps_no_column_matrix(self, rng, gate):
+        # the tape keeps the padded input, the output and the activations the
+        # backward pass reads: a few input-sized arrays, not 65 of them
+        x = rng.standard_normal((32, 16000), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((32, 32, 65), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            y = ad.gated_conv_pair(tape.tensor(x), w, None, w, None, 32, gate)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.data.shape == x.shape
+        assert held < 6 * x.nbytes, f"{held} B held for a {x.nbytes} B input"
 
 
 class TestPointwise:

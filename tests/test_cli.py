@@ -206,6 +206,17 @@ class TestTrainCommand:
         assert "batch_size must be an int >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("steps", ["0", "2"])
+    def test_segment_longer_than_every_clip_exits_3(self, corpus_dir, tmp_path, capsys, steps):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="shorter than segment_len"):
+            rc = cli.main(["train", "--corpus", str(corpus_dir), "--steps", steps, "--batch", "1",
+                           "--seg-len", "16000", "--out", str(out)])
+        assert rc == 3
+        assert "segment longer than every clip in the corpus" in capsys.readouterr().err
+        assert not (out / "loss.csv").exists()
+        assert not (out / "final.ckpt").exists()
+
     def test_resume_missing_moment_exits_3(self, trained, corpus_dir, tmp_path, capsys):
         bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", CHECKPOINT_DEFECTS["missing_moment"])
         rc = cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),

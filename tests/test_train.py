@@ -673,7 +673,8 @@ class TestConditioningScale:
         assert ckpt.cond_scale == T.conditioning_scale(residuals)
 
     def test_save_refuses_models_that_disagree(self, tmp_path):
-        G, D, og, od, _, rng, _, _ = tiny_setup(T.TrainConfig(synthetic={"n_clips": 1, "clip_len": 528}))
+        cfg = T.TrainConfig(segment_len=528, synthetic={"n_clips": 1, "clip_len": 528})
+        G, D, og, od, _, rng, _, _ = tiny_setup(cfg)
         G.cond_scale = 2.0
         with pytest.raises(ValueError, match="disagree on cond_scale"):
             T.save_checkpoint(tmp_path / "x.ckpt", T.TrainConfig(), G, D, og, od,

@@ -14,6 +14,9 @@ echoes its arguments) are the same on both sides:
 - ``vocode`` with and without ``--skip-cross-synth``;
 - ``train --config`` with a JSON config file that sets ``lpc_order`` 12
   (4 steps), and ``vocode`` with that checkpoint;
+- ``gen-corpus`` (1 clip of 16000 samples), ``train`` on it at segment
+  16000 (batch 1, 1 step), and ``vocode`` of that clip with that checkpoint,
+  so every upsampler stage runs several im2col blocks;
 - ``cross-synth --order 12``;
 - ``lpc`` with each of its three ``--emit`` kinds;
 - ``inspect-checkpoint``.
@@ -66,6 +69,13 @@ def scenario() -> list[tuple[str, list[str]]]:
                            "--out", "train_order12", "--steps", "4", *TRAIN]),
         ("vocode_order12", ["vocode", "--ckpt", "train_order12/final.ckpt", "--in", clip,
                             "--out", "vocoded_order12.wav", "--seed", "1"]),
+        ("gen_corpus_16k", ["gen-corpus", "--n", "1", "--len", "16000", "--seed", "0",
+                            "--out", "corpus16k"]),
+        ("train_seg16000", ["train", "--corpus", "corpus16k", "--out", "train_seg16000",
+                            "--steps", "1", "--batch", "1", "--seg-len", "16000", "--seed", "0"]),
+        ("vocode_seg16000", ["vocode", "--ckpt", "train_seg16000/final.ckpt",
+                             "--in", "corpus16k/clip_000.wav", "--out", "vocoded_seg16000.wav",
+                             "--seed", "1"]),
         ("cross_synth", ["cross-synth", "--carrier", "corpus/clip_001.wav",
                          "--envelope", clip, "--order", "12", "--out", "cross.wav"]),
         *((f"lpc_{emit}", ["lpc", "--in", clip, "--emit", emit,
