@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from abas import dsp, metrics
-from abas.train import TrainConfig, build_models, load_checkpoint, restore_into, synthesize_clip, train_loop
+from abas.train import TrainConfig, load_checkpoint, restore_models, synthesize_clip, train_loop
 
 work = Path(tempfile.mkdtemp(prefix="abas_demo_vocode_"))
 
@@ -26,15 +26,14 @@ print("training briefly...")
 train_loop(config, work)
 
 ckpt = load_checkpoint(work / "final.ckpt")
-G, D = build_models(ckpt.config)
-restore_into(ckpt, G, D)
+G, _ = restore_models(ckpt)
 
 clip = synthesize_clip(np.random.default_rng(33), 4160)
 signal = dsp.AudioSignal(clip)
 track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
 print(f"\ninput: {len(signal)} samples -> {len(track.coeffs)} LPC frames")
 
-# segment-wise generation over the residual; restore_into gave G the
+# segment-wise generation over the residual; restore_models gave G the
 # conditioning scale it was trained with
 fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(2))
 fake_sig = dsp.AudioSignal(fake)

@@ -8,6 +8,13 @@ maps; Parameters may hold any shape (conv weights are 3-D, biases 1-D).
 Running ops on tape-less Tensors (``Tensor(data)``) skips recording entirely,
 which is the inference / frozen-forward mode. Non-finite values are located
 after the fact: ``Tape.first_nonfinite`` names the earliest op that made one.
+
+A tape-less Tensor may hold several signals of equal length side by side on
+its time axis, segment-major: ``Tensor(data, segments=S)`` with data
+(C, S * L), segment i in columns i*L .. (i+1)*L. Time-axis ops (pads,
+convolutions) treat each segment as a signal of its own, pointwise ops do not
+care, and every GEMM runs once over the columns of all segments. Taped ops and
+the reductions take one segment.
 """
 
 from __future__ import annotations
@@ -40,19 +47,24 @@ class Parameter:
 
 
 class Tensor:
-    """Array plus an optional handle onto the tape that produced it."""
+    """Array plus an optional handle onto the tape that produced it, and the
+    number of segments its time axis holds (see the module docstring)."""
 
-    __slots__ = ("data", "tape", "node_id")
+    __slots__ = ("data", "tape", "node_id", "segments")
 
-    def __init__(self, data, tape: "Tape | None" = None, node_id: int = -1):
+    def __init__(self, data, tape: "Tape | None" = None, node_id: int = -1,
+                 segments: int = 1):
         arr = np.asarray(data)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr[None, :]
+        if type(segments) is not int or segments < 1 or arr.shape[-1] % segments:
+            raise ValueError(f"{arr.shape[-1]} samples do not split into {segments!r} segments")
         self.data = arr
         self.tape = tape
         self.node_id = node_id
+        self.segments = segments
 
     @property
     def channels(self) -> int:
@@ -60,7 +72,8 @@ class Tensor:
 
     @property
     def length(self) -> int:
-        return self.data.shape[-1]
+        """Samples per segment."""
+        return self.data.shape[-1] // self.segments
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -159,16 +172,30 @@ def _lift(tape: Tape | None, w) -> tuple[int, np.ndarray]:
 def _check_same(a: Tensor, b: Tensor) -> Tape | None:
     if a.data.shape != b.data.shape:
         raise ValueError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
+    if a.segments != b.segments:
+        raise ValueError(f"segment mismatch: {a.segments} vs {b.segments}")
     tape = a.tape if a.tape is not None else b.tape
     if a.tape is not None and b.tape is not None and a.tape is not b.tape:
         raise ValueError("mixing tensors from different tapes")
     return tape
 
 
-def _emit(tape: Tape | None, name: str, out, bwd) -> Tensor:
+def _emit(tape: Tape | None, name: str, out, bwd, segments: int = 1) -> Tensor:
     if tape is None:
-        return Tensor(out)
+        return Tensor(out, segments=segments)
+    if segments != 1:
+        raise ValueError(f"{name}: a taped op takes one segment, got {segments}")
     return tape.record(name, out, bwd)
+
+
+def _split(xd: np.ndarray, segments: int) -> np.ndarray:
+    """(C, S*L) segment-major array as a (C, S, L) view."""
+    return xd.reshape(xd.shape[0], segments, -1)
+
+
+def _join(a: np.ndarray) -> np.ndarray:
+    """(C, S, L) array as (C, S*L), segment-major."""
+    return a.reshape(a.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +203,19 @@ def _emit(tape: Tape | None, name: str, out, bwd) -> Tensor:
 
 
 def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
-    """(C, L) array mirror-padded without repeating the edge sample."""
-    c, length = xd.shape
+    """Array mirror-padded along its last axis without repeating the edge sample."""
+    length = xd.shape[-1]
     if left < 0 or right < 0:
         raise ValueError("pad must be non-negative")
     if left >= length or right >= length:
         raise ValueError(f"pad ({left}, {right}) must be smaller than length {length}")
-    y = np.empty((c, length + left + right), xd.dtype)
-    y[:, left : left + length] = xd
+    y = np.empty(xd.shape[:-1] + (length + left + right,), xd.dtype)
+    y[..., left : left + length] = xd
     if left:
-        y[:, :left] = xd[:, left:0:-1]
+        y[..., :left] = xd[..., left:0:-1]
     if right:
         stop = length - 2 - right
-        y[:, left + length :] = xd[:, length - 2 : (stop if stop >= 0 else None) : -1]
+        y[..., left + length :] = xd[..., length - 2 : (stop if stop >= 0 else None) : -1]
     return y
 
 
@@ -246,6 +273,13 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # the (c_out, T) output gradient. That keeps a 64 -> 1 channel conv from
 # copying its input k times. Cross-correlation convention throughout: no
 # kernel flip.
+#
+# On a multi-segment tensor every pad, window, diagonal sum and fold stays
+# inside its segment, and each GEMM runs once over the columns of all
+# segments; the im2col blocks run across segment edges. Each output column is
+# then the same dot product, over the same operands, as in a call on its
+# segment alone, and in float32 it has the same bits: above SMALL_GEMM_MACS,
+# OpenBLAS's sgemm sums a column alike wherever it sits in the product.
 
 # Output columns per forward GEMM of the im2col lowering. The blocked product
 # is bit-identical to the one-GEMM product only while OpenBLAS takes the same
@@ -255,6 +289,12 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # whole output is (a narrow call can fall to the small-matrix kernels, or at
 # one column to gemv, which sum in another order).
 IM2COL_BLOCK = 1024
+
+# OpenBLAS runs a GEMM of at most this many multiply-adds (M*K*N) on its
+# small-matrix kernels, which sum a column in an order that depends on where
+# the column sits. Where a one-segment call's GEMM would be that small, a
+# multi-segment call runs one GEMM per segment instead of one wide GEMM.
+SMALL_GEMM_MACS = 100**3
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -268,42 +308,108 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return cols
 
 
-def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k].
-
-    Each stride phase of out (every stride-th sample) is one contiguous row of
-    an accumulator, and the taps are added in ascending order, so every output
-    sums its terms in the order of a plain strided scatter-add."""
-    C, K, T = cols.shape
-    n = -(-out_len // stride)
-    phases = np.zeros((C, stride, n), cols.dtype)
-    for k in range(K):
+def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0):
+    """Scatter-add cols[c, k, t] into out[c, (first + t)*stride + k], held as
+    its stride phases: phases[c, p, i] is out[c, i*stride + p]. Each phase is
+    one contiguous row, and the taps are added in ascending order."""
+    t = cols.shape[2]
+    for k in range(cols.shape[1]):
         q, p = divmod(k, stride)
-        phases[:, p, q : q + T] += cols[:, k, :]
-    return phases.transpose(0, 2, 1).reshape(C, n * stride)[:, :out_len]
+        phases[:, p, first + q : first + q + t] += cols[:, k]
 
 
-def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """w_mat @ _im2col(xp, k, stride), with the columns built IM2COL_BLOCK
-    outputs at a time in one buffer that every block reuses."""
+def _unphase(phases: np.ndarray, out_len: int) -> np.ndarray:
+    """The signal that phases[..., p, i] holds as out[..., i*stride + p], cut to out_len."""
+    return np.swapaxes(phases, -1, -2).reshape(*phases.shape[:-2], -1)[..., :out_len]
+
+
+def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k],
+    every output summing its terms in the order of a plain strided scatter-add."""
+    phases = np.zeros((cols.shape[0], stride, -(-out_len // stride)), cols.dtype)
+    _fold_add(phases, cols, stride)
+    return _unphase(phases, out_len)
+
+
+def _small(a: np.ndarray, cols: int) -> bool:
+    return a.shape[0] * a.shape[1] * cols <= SMALL_GEMM_MACS
+
+
+def _matmul_segments(a: np.ndarray, b: np.ndarray, segments: int) -> np.ndarray:
+    """a @ b over the segment-major columns of b: one GEMM, or one per segment
+    where a segment's own GEMM would be small (see SMALL_GEMM_MACS)."""
+    if segments > 1 and _small(a, b.shape[1] // segments):
+        return np.concatenate([a @ bs for bs in np.split(b, segments, axis=1)], axis=1)
+    return np.matmul(a, b)
+
+
+def _column_blocks(t_seg: int, segments: int) -> list:
+    """IM2COL_BLOCK-wide blocks (t0, t1, pieces) of segments * t_seg
+    segment-major columns, the last block taking the remainder; each piece
+    (s, a, b) is the run of segment s's columns a .. b that the block holds."""
+    total = segments * t_seg
+    edges = [i * IM2COL_BLOCK for i in range(max(1, total // IM2COL_BLOCK))] + [total]
+    return [(t0, t1, [(s, max(t0, s * t_seg) - s * t_seg, min(t1, (s + 1) * t_seg) - s * t_seg)
+                      for s in range(t0 // t_seg, -(-t1 // t_seg))])
+            for t0, t1 in zip(edges, edges[1:])]
+
+
+def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int,
+                   segments: int = 1) -> np.ndarray:
+    """w_mat @ the im2col matrices of the segments of xp side by side, with the
+    columns built IM2COL_BLOCK outputs at a time in one buffer that every
+    block reuses. A block may hold the windows of several segments."""
     c = xp.shape[0]
-    t_out = (xp.shape[1] - k) // stride + 1
-    n_blocks = max(1, t_out // IM2COL_BLOCK)  # the last block takes the remainder
-    edges = [i * IM2COL_BLOCK for i in range(n_blocks)] + [t_out]
-    buf = np.empty((c, k, t_out - edges[-2]), xp.dtype)
+    win = sliding_window_view(_split(xp, segments), k, axis=2)[:, :, ::stride]  # (c, S, t, k)
+    t_seg = win.shape[2]
+    if segments > 1 and _small(w_mat, min(t_seg, IM2COL_BLOCK)):  # a one-segment block
+        return np.concatenate([_im2col_matmul(w_mat, xs, k, stride)
+                               for xs in np.split(xp, segments, axis=1)], axis=1)
+    blocks = _column_blocks(t_seg, segments)
+    buf = np.empty((c, k, blocks[-1][1] - blocks[-1][0]), xp.dtype)  # the last is the widest
     cols = buf.reshape(c * k, -1)
-    win = sliding_window_view(xp, k, axis=1)[:, ::stride]  # (c, t_out, k) view
-    y = np.empty((w_mat.shape[0], t_out), np.result_type(w_mat, xp))
-    for t0, t1 in zip(edges, edges[1:]):
-        np.copyto(buf[:, :, : t1 - t0], win[:, t0:t1].transpose(0, 2, 1))
+    y = np.empty((w_mat.shape[0], segments * t_seg), np.result_type(w_mat, xp))
+    for t0, t1, pieces in blocks:
+        for s, a, b in pieces:
+            o = s * t_seg + a - t0
+            np.copyto(buf[:, :, o : o + b - a], win[:, s, a:b].transpose(0, 2, 1))
         np.matmul(w_mat, cols[:, : t1 - t0], out=y[:, t0:t1])
     return y
 
 
+def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: int,
+                 segments: int = 1) -> np.ndarray:
+    """_fold of w_t @ xd, (C*k, S*L) taps folded with stride into (C, S, out_len),
+    each segment on its own: a transposed conv's raw output. The GEMM runs
+    IM2COL_BLOCK input columns at a time, so the taps of a whole 1 s signal
+    never exist at once, except where a block that wide would be small (see
+    SMALL_GEMM_MACS): there a segment gets one GEMM. Blocks run last first: an
+    output adds its taps in ascending order, and later inputs hold its lower
+    taps, so every output sums in _fold's order."""
+    t_seg = xd.shape[1] // segments
+    if segments > 1 and _small(w_t, min(t_seg, IM2COL_BLOCK)):
+        return np.concatenate([_matmul_fold(w_t, xs, k, stride, out_len)
+                               for xs in np.split(xd, segments, axis=1)], axis=1)
+    whole = _small(w_t, IM2COL_BLOCK)  # one segment here
+    blocks = [(0, t_seg, [(0, 0, t_seg)])] if whole else _column_blocks(t_seg, segments)
+    c = w_t.shape[0] // k
+    dtype = np.result_type(w_t, xd)
+    phases = np.zeros((c, segments, stride, -(-out_len // stride)), dtype)
+    buf = np.empty((c, k, blocks[-1][1] - blocks[-1][0]), dtype)  # the last is the widest
+    cols = buf.reshape(c * k, -1)
+    for t0, t1, pieces in reversed(blocks):
+        np.matmul(w_t, xd[:, t0:t1], out=cols[:, : t1 - t0])
+        for s, a, b in pieces:
+            o = s * t_seg + a - t0
+            _fold_add(phases[:, s], buf[:, :, o : o + b - a], stride, a)
+    return _unphase(phases, out_len)
+
+
 def _pad_zero(x: np.ndarray, left: int, right: int) -> np.ndarray:
-    c, length = x.shape
-    out = np.zeros((c, length + left + right), x.dtype)
-    out[:, left : left + length] = x
+    """Array zero-padded along its last axis."""
+    length = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (length + left + right,), x.dtype)
+    out[..., left : left + length] = x
     return out
 
 
@@ -335,8 +441,8 @@ def conv1d(
     x_id = x.node_id
     w_id, w_data = _lift(tape, weight)
     b_id, b_data = _lift(tape, bias) if bias is not None else (-1, None)
-    xd = x.data
-    c_in, length = xd.shape
+    xd, n_seg = x.data, x.segments
+    c_in, length = x.channels, x.length
     c_out, w_cin, k = w_data.shape
     if w_cin != c_in:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {w_cin}")
@@ -344,19 +450,21 @@ def conv1d(
     lp = length + pl + pr
     if lp < k:
         raise ValueError(f"padded length {lp} < kernel width {k}")
-    xp = _pad_zero(xd, pl, pr) if (pl or pr) else xd
+    xp = _join(_pad_zero(_split(xd, n_seg), pl, pr)) if (pl or pr) else xd
     narrowing = stride == 1 and c_out < c_in
     if narrowing:
         # taps[o, j, s] = sum_c w[o, c, j] * xp[c, s]; y[o, t] = sum_j taps[o, j, t + j]
+        # within each segment
         t_out = lp - k + 1
-        taps = np.matmul(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp)
-        taps = taps.reshape(c_out, k, lp)
-        y = taps[:, 0, :t_out].copy()
+        taps = _matmul_segments(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp, n_seg)
+        taps = taps.reshape(c_out, k, n_seg, lp)
+        y = taps[:, 0, :, :t_out].copy()
         for j in range(1, k):
-            y += taps[:, j, j : j + t_out]
+            y += taps[:, j, :, j : j + t_out]
+        y = _join(y)
     else:
         w_mat = w_data.reshape(c_out, c_in * k)
-        y = _im2col_matmul(w_mat, xp, k, stride)
+        y = _im2col_matmul(w_mat, xp, k, stride, n_seg)
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
@@ -383,7 +491,7 @@ def conv1d(
         out.append((x_id, gx))
         return out
 
-    return _emit(tape, "conv1d", y, bwd)
+    return _emit(tape, "conv1d", y, bwd, n_seg)
 
 
 def tconv1d(
@@ -398,8 +506,8 @@ def tconv1d(
     x_id = x.node_id
     w_id, w_data = _lift(tape, weight)
     b_id, b_data = _lift(tape, bias) if bias is not None else (-1, None)
-    xd = x.data
-    c_in, length = xd.shape
+    xd, n_seg = x.data, x.segments
+    c_in, length = x.channels, x.length
     w_cin, c_out, k = w_data.shape
     if w_cin != c_in:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {w_cin}")
@@ -408,8 +516,7 @@ def tconv1d(
     if cl < 0 or cr < 0 or cl + cr >= raw:
         raise ValueError(f"crop {crop} exceeds raw output length {raw}")
     w_mat = w_data.reshape(c_in, c_out * k)
-    cols = np.matmul(w_mat.T, xd).reshape(c_out, k, length)
-    y = _fold(cols, stride, raw)[:, cl : raw - cr]
+    y = _join(_matmul_fold(w_mat.T, xd, k, stride, raw, n_seg)[..., cl : raw - cr])
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
@@ -424,7 +531,7 @@ def tconv1d(
         out.append((x_id, np.matmul(w_mat, gcols)))
         return out
 
-    return _emit(tape, "tconv1d", y, bwd)
+    return _emit(tape, "tconv1d", y, bwd, n_seg)
 
 
 def gated_conv_pair(
@@ -457,8 +564,8 @@ def gated_conv_pair(
     wg_id, wg = _lift(tape, w_gate)
     bf_id, bf = _lift(tape, b_filter) if b_filter is not None else (-1, None)
     bg_id, bg = _lift(tape, b_gate) if b_gate is not None else (-1, None)
-    xd = x.data
-    c_in, length = xd.shape
+    xd, n_seg = x.data, x.segments
+    c_in, length = x.channels, x.length
     c_out, w_cin, k = wf.shape
     if wf.shape != wg.shape:
         raise ValueError(f"filter/gate weight shapes differ: {wf.shape} vs {wg.shape}")
@@ -468,10 +575,10 @@ def gated_conv_pair(
         raise ValueError("gated conv pad must preserve length (k = 2*pad + 1)")
     if gate_kind not in ("softmax_channel", "sigmoid"):
         raise ValueError(f"unknown gate kind {gate_kind!r}")
-    xp = _reflect(xd, pad, pad)
+    xp = _join(_reflect(_split(xd, n_seg), pad, pad))
     ck = c_in * k
     w_stack = np.concatenate([wf.reshape(c_out, ck), wg.reshape(c_out, ck)])
-    y_stack = _im2col_matmul(w_stack, xp, k, 1)
+    y_stack = _im2col_matmul(w_stack, xp, k, 1, n_seg)
     yf, yg = y_stack[:c_out], y_stack[c_out:]
     if bf is not None:
         yf += bf.reshape(-1, 1)
@@ -514,16 +621,17 @@ def gated_conv_pair(
         out.append((x_id, _reflect_adjoint(gxp, pad, pad, length)))
         return out
 
-    return _emit(tape, "gated_conv_pair", y, bwd)
+    return _emit(tape, "gated_conv_pair", y, bwd, n_seg)
 
 
 def reflect_pad(x: Tensor, left: int, right: int) -> Tensor:
-    """Mirror padding without repeating the edge sample."""
-    length = x.length
-    y = _reflect(x.data, left, right)
+    """Mirror padding of each segment without repeating the edge sample."""
+    length, n_seg = x.length, x.segments
+    y = _join(_reflect(_split(x.data, n_seg), left, right))
     x_id = x.node_id
     return _emit(
-        x.tape, "reflect_pad", y, lambda g: [(x_id, _reflect_adjoint(g, left, right, length))]
+        x.tape, "reflect_pad", y,
+        lambda g: [(x_id, _reflect_adjoint(g, left, right, length))], n_seg,
     )
 
 
@@ -531,7 +639,8 @@ def channel_softmax(x: Tensor) -> Tensor:
     """Columnwise softmax over channels, computed with max subtraction."""
     y = _softmax(x.data)
     x_id = x.node_id
-    return _emit(x.tape, "channel_softmax", y, lambda g: [(x_id, _softmax_vjp(g, y))])
+    return _emit(x.tape, "channel_softmax", y, lambda g: [(x_id, _softmax_vjp(g, y))],
+                 x.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +650,13 @@ def channel_softmax(x: Tensor) -> Tensor:
 def tanh_(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     x_id = x.node_id
-    return _emit(x.tape, "tanh", y, lambda g: [(x_id, _tanh_vjp(g, y))])
+    return _emit(x.tape, "tanh", y, lambda g: [(x_id, _tanh_vjp(g, y))], x.segments)
 
 
 def sigmoid_(x: Tensor) -> Tensor:
     y = _sigmoid(x.data)
     x_id = x.node_id
-    return _emit(x.tape, "sigmoid", y, lambda g: [(x_id, _sigmoid_vjp(g, y))])
+    return _emit(x.tape, "sigmoid", y, lambda g: [(x_id, _sigmoid_vjp(g, y))], x.segments)
 
 
 def _slope_mask(xd: np.ndarray, slope: float) -> np.ndarray:
@@ -577,46 +686,50 @@ def prelu_(x: Tensor, slope: Parameter) -> Tensor:
             out.append((s_id, np.asarray(gs, dtype=g.dtype).reshape(s_shape)))
         return out
 
-    return _emit(tape, "prelu", y, bwd)
+    return _emit(tape, "prelu", y, bwd, x.segments)
 
 
 def leaky_relu_(x: Tensor, slope: float = 0.2) -> Tensor:
     xd = x.data
     x_id = x.node_id
     y = _leaky(xd, slope)
-    return _emit(x.tape, "leaky_relu", y, lambda g: [(x_id, g * _slope_mask(xd, slope))])
+    return _emit(x.tape, "leaky_relu", y, lambda g: [(x_id, g * _slope_mask(xd, slope))],
+                 x.segments)
 
 
 def relu_(x: Tensor) -> Tensor:
     xd = x.data
     x_id = x.node_id
     y = np.maximum(xd, 0)
-    return _emit(x.tape, "relu", y, lambda g: [(x_id, g * (xd > 0))])
+    return _emit(x.tape, "relu", y, lambda g: [(x_id, g * (xd > 0))], x.segments)
 
 
 def mul_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
     a_id, b_id, ad_, bd_ = a.node_id, b.node_id, a.data, b.data
-    return _emit(tape, "mul", ad_ * bd_, lambda g: [(a_id, g * bd_), (b_id, g * ad_)])
+    return _emit(tape, "mul", ad_ * bd_, lambda g: [(a_id, g * bd_), (b_id, g * ad_)],
+                 a.segments)
 
 
 def add_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
     y = a.data + b.data
     a_id, b_id = a.node_id, b.node_id
-    return _emit(tape, "add", y, lambda g: [(a_id, g), (b_id, g)])
+    return _emit(tape, "add", y, lambda g: [(a_id, g), (b_id, g)], a.segments)
 
 
 def sub_(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_same(a, b)
     y = a.data - b.data
     a_id, b_id = a.node_id, b.node_id
-    return _emit(tape, "sub", y, lambda g: [(a_id, g), (b_id, -g)])
+    return _emit(tape, "sub", y, lambda g: [(a_id, g), (b_id, -g)], a.segments)
 
 
 def concat_channels_(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[1]:
         raise ValueError(f"length mismatch: {a.data.shape[1]} vs {b.data.shape[1]}")
+    if a.segments != b.segments:
+        raise ValueError(f"segment mismatch: {a.segments} vs {b.segments}")
     tape = a.tape if a.tape is not None else b.tape
     if a.tape is not None and b.tape is not None and a.tape is not b.tape:
         raise ValueError("mixing tensors from different tapes")
@@ -625,7 +738,7 @@ def concat_channels_(a: Tensor, b: Tensor) -> Tensor:
     a_id, b_id = a.node_id, b.node_id
     return _emit(
         tape, "concat_channels", y,
-        lambda g: [(a_id, g[:ca]), (b_id, g[ca:])],
+        lambda g: [(a_id, g[:ca]), (b_id, g[ca:])], a.segments,
     )
 
 
@@ -633,17 +746,19 @@ def scale_(x: Tensor, c: float) -> Tensor:
     c = float(c)
     y = x.data * x.data.dtype.type(c)
     x_id = x.node_id
-    return _emit(x.tape, "scale", y, lambda g: [(x_id, g * c)])
+    return _emit(x.tape, "scale", y, lambda g: [(x_id, g * c)], x.segments)
 
 
 def shift_(x: Tensor, c: float) -> Tensor:
     c = float(c)
     x_id = x.node_id
-    return _emit(x.tape, "shift", x.data + c, lambda g: [(x_id, g)])
+    return _emit(x.tape, "shift", x.data + c, lambda g: [(x_id, g)], x.segments)
 
 
 def abs_mean_(x: Tensor) -> Tensor:
-    """Mean absolute value as a (1, 1) scalar tensor."""
+    """Mean absolute value as a (1, 1) scalar tensor, of a one-segment tensor."""
+    if x.segments != 1:
+        raise ValueError(f"abs_mean: a reduction takes one segment, got {x.segments}")
     xd = x.data
     x_id = x.node_id
     y = np.array([[np.mean(np.abs(xd))]], dtype=xd.dtype)
@@ -654,7 +769,9 @@ def abs_mean_(x: Tensor) -> Tensor:
 
 
 def mean_(x: Tensor) -> Tensor:
-    """Plain mean as a (1, 1) scalar tensor."""
+    """Plain mean as a (1, 1) scalar tensor, of a one-segment tensor."""
+    if x.segments != 1:
+        raise ValueError(f"mean: a reduction takes one segment, got {x.segments}")
     xd = x.data
     x_id = x.node_id
     y = np.array([[np.mean(xd)]], dtype=xd.dtype)

@@ -22,10 +22,9 @@ from .train import (
     CheckpointError,
     TrainConfig,
     TrainDiverged,
-    build_models,
     gen_synthetic_corpus,
     load_checkpoint,
-    restore_into,
+    restore_models,
     train_loop,
 )
 from .verify import TOLERANCE, gradient_suite
@@ -91,11 +90,10 @@ def cmd_vocode(args) -> int:
                      "segment_len": config.segment_len, "lpc_order": config.lpc_order,
                      "cond_scale": ckpt.cond_scale})
     signal = read_wav(getattr(args, "in"))
-    G, D = build_models(config)
+    G, _ = restore_models(ckpt)
     n, n_min = len(signal), G.cfg.min_input_length
     if n < n_min:
         raise ValueError(f"input too short: {n} samples < {n_min}")
-    restore_into(ckpt, G, D)
 
     track, residual = dsp.lpc_analyze(signal, config.lpc_order, config.frame_len)
     fake = G.generate_segments(residual.samples, config.segment_len, np.random.default_rng(args.seed))
@@ -180,8 +178,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_inspect_checkpoint(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    G, D = build_models(ckpt.config)
-    restore_into(ckpt, G, D)  # validates every tensor name and shape
+    G, D = restore_models(ckpt)  # validates every tensor name and shape
     params = G.parameters() + D.parameters()
     n_sn = len(G.sn_entries() + D.sn_entries())
     _echo("inspect-checkpoint", {"ckpt": args.ckpt})

@@ -21,7 +21,9 @@ sets it again, so no caller scales the residual. At its natural RMS of about
 gain <= 1, and the output would ignore it.
 
 Everything is fully convolutional: any input length that is a multiple of the
-compression factor and at least ``min_input_length`` works.
+compression factor and at least ``min_input_length`` works. A tape-less
+forward also takes several segments of one length side by side (see
+``autodiff``); ``generate_segments`` runs its segments that way.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ from .nn import (
     SpectralNormState,
     TConv1d,
 )
+
+# Samples per tape-less forward of generate_segments (at least one segment):
+# the segments of one forward share every GEMM, which at a short segment makes
+# the GEMMs wide enough for every BLAS thread, and no forward holds more than
+# one at the recipe's 1 s segment.
+FORWARD_SAMPLES = 16000
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,9 @@ class _Layered:
     layers and bare Parameters (PReLU slopes, without spectral norm). Parameter
     order, spectral-norm order and so the checkpoint layout follow the list.
     Every layer the forward pass uses must appear in ``self.layers``: one left
-    out would train without being saved or having its spectral norm advanced."""
+    out would train without being saved or having its spectral norm advanced.
+    Built with ``rng=None``, the conv layers hold zeros for a restore to
+    overwrite."""
 
     layers: list
     cond_scale: float = 1.0  # the residual's gain on entry, see the module docstring
@@ -153,7 +163,8 @@ class _Layered:
 class Generator(_Layered):
     """Residual encoder + context decoder + adversarial upsampler."""
 
-    def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
         dp = cfg.down_kernel // 2 - 1
@@ -232,11 +243,12 @@ class Generator(_Layered):
         self, hidden: Tensor, noise: NoiseBundle, trace: list | None = None
     ) -> Tensor:
         cfg = self.cfg
-        want = (cfg.noise_channels, hidden.length)
+        want = (cfg.noise_channels, hidden.data.shape[1])
         if noise.base.shape != want:
             raise ValueError(f"noise shape mismatch: got {noise.base.shape}, want {want}")
         tape = hidden.tape
-        n = tape.tensor(noise.base) if tape is not None else Tensor(noise.base)
+        n = (tape.tensor(noise.base) if tape is not None
+             else Tensor(noise.base, segments=hidden.segments))
         sig = hidden
         for tconv, gated, ntconv in zip(self.up_tconvs, self.up_gated, self.noise_tconvs):
             sig = gated(tconv(sig))
@@ -251,18 +263,26 @@ class Generator(_Layered):
 
     def generate_segments(self, residual: np.ndarray, segment_len: int,
                           rng: np.random.Generator) -> np.ndarray:
-        """Generate over a residual of any length, one ``segment_len`` piece at a
-        time: zero-pad to whole segments, draw each segment's noise from ``rng``
-        in order, and trim the output to the residual's length."""
+        """Generate over a residual of any length in ``segment_len`` pieces:
+        zero-pad to whole segments, draw each segment's noise from ``rng`` in
+        order, and trim the output to the residual's length. The segments run
+        side by side in tape-less forwards of up to FORWARD_SAMPLES samples;
+        each segment's output has the bits of a forward on it alone."""
         n = len(residual)
-        padded = np.zeros(-(-n // segment_len) * segment_len, dtype=self.dtype)
+        n_seg = -(-n // segment_len)
+        padded = np.zeros(n_seg * segment_len, dtype=self.dtype)
         padded[:n] = residual
         out = np.empty_like(padded)
         m = segment_len // self.cfg.compression
-        for i in range(0, len(padded), segment_len):
-            z = NoiseBundle.draw(rng, self.cfg.noise_channels, m, self.dtype)
-            piece = self.generate(Tensor(padded[None, i : i + segment_len]), z)
-            out[i : i + segment_len] = piece.data[0]
+        nch = self.cfg.noise_channels
+        per_forward = max(1, FORWARD_SAMPLES // segment_len)
+        for first in range(0, n_seg, per_forward):
+            s = min(per_forward, n_seg - first)
+            z = np.concatenate([NoiseBundle.draw(rng, nch, m, self.dtype).base for _ in range(s)],
+                               axis=1)
+            span = slice(first * segment_len, (first + s) * segment_len)
+            piece = self.generate(Tensor(padded[None, span], segments=s), NoiseBundle(z))
+            out[span] = piece.data[0]
         return out[:n]
 
     def advance_spectral_norm(self):
@@ -273,7 +293,8 @@ class Generator(_Layered):
 class Discriminator(_Layered):
     """Strided conv stack over (candidate, residual) with a global-mean head."""
 
-    def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self.cfg = cfg
         pad = (cfg.kernel // 2 - 1, cfg.kernel // 2 - 1)
         self.layers: list[Conv1d] = []

@@ -21,16 +21,24 @@ SIGMA_FLOOR = 1e-12
 PRELU_INIT = 0.25
 
 
-def xavier_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float32):
-    """Uniform Xavier/Glorot draw on [-L, L], L = sqrt(6 / (fan_in + fan_out))."""
+def xavier_init(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int,
+                dtype=np.float32):
+    """Uniform Xavier/Glorot draw on [-L, L], L = sqrt(6 / (fan_in + fan_out));
+    zeros without an rng, for a weight that a restore overwrites."""
+    if rng is None:
+        return np.zeros(shape, dtype)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 class SpectralNormState:
-    """Left singular-vector estimate for one weight matrix."""
+    """Left singular-vector estimate for one weight matrix; a random unit
+    vector, or zeros without an rng, for a state that a restore overwrites."""
 
-    def __init__(self, rng: np.random.Generator, out_dim: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, out_dim: int, dtype=np.float32):
+        if rng is None:
+            self.u = np.zeros(out_dim, dtype)
+            return
         u = rng.standard_normal(out_dim)
         self.u = (u / np.linalg.norm(u)).astype(dtype)
 

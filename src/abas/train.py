@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsp
-from .autodiff import Parameter, Tape, Tensor
+from .autodiff import Parameter, Tape
 from .model import (
     Discriminator,
     DiscriminatorConfig,
@@ -343,15 +343,19 @@ def train_step(
 
     Fresh noise is drawn for each phase; spectral-norm power iterations
     advance exactly once per phase, before its forwards; gradients are zeroed
-    between phases. G and D scale the residual they are conditioned on by
-    their own ``cond_scale``; in residual-target mode the L1 target and D's
-    real candidate are the residual as the batch holds it.
+    between phases. The D phase generates its fakes with G frozen, side by
+    side in tape-less forwards (``generate_segments``), with one noise per
+    example drawn in batch order as the G phase does. G and D scale the
+    residual they are conditioned on by their own ``cond_scale``; in
+    residual-target mode the L1 target and D's real candidate are the
+    residual as the batch holds it.
     """
     g_params = G.parameters()
     d_params = D.parameters()
     inv_b = 1.0 / len(batch)
     nch = G.cfg.noise_channels
-    m = config.segment_len // G.cfg.compression
+    seg = config.segment_len
+    m = seg // G.cfg.compression
     residual_target = config.target_mode == TARGET_RESIDUAL
 
     # -- discriminator phase
@@ -359,9 +363,9 @@ def train_step(
     for p in g_params + d_params:
         p.zero_grad()
     d_loss = 0.0
-    for x_seg, r_seg in batch:
-        z = NoiseBundle.draw(rng, nch, m, dtype=x_seg.dtype)
-        fake = G.generate(Tensor(r_seg), z).data  # no tape: G is frozen here
+    fakes = G.generate_segments(np.concatenate([r for _, r in batch], axis=1)[0], seg, rng)
+    for i, (x_seg, r_seg) in enumerate(batch):
+        fake = fakes[None, i * seg : (i + 1) * seg]
         tape = Tape()
         real_candidate = r_seg if residual_target else x_seg
         d_real = D.discriminate(tape.tensor(real_candidate), tape.tensor(r_seg))
@@ -413,12 +417,24 @@ def train_step(
     )
 
 
+def _models(config: TrainConfig, rng: np.random.Generator | None,
+            dtype=np.float32) -> tuple[Generator, Discriminator]:
+    return (Generator(GeneratorConfig(gate_kind=config.gate_kind), rng, dtype),
+            Discriminator(DiscriminatorConfig(), rng, dtype))
+
+
 def build_models(config: TrainConfig, dtype=np.float32) -> tuple[Generator, Discriminator]:
     """Deterministic model construction from the config seed."""
-    rng = np.random.default_rng([config.seed, 0])
-    g = Generator(GeneratorConfig(gate_kind=config.gate_kind), rng, dtype)
-    d = Discriminator(DiscriminatorConfig(), rng, dtype)
-    return g, d
+    return _models(config, np.random.default_rng([config.seed, 0]), dtype)
+
+
+def restore_models(ckpt: "Checkpoint") -> tuple[Generator, Discriminator]:
+    """A checkpoint's models without optimizers, as vocoding needs them. They are
+    built without drawing any weight: ``restore_into`` overwrites every value,
+    and copies none unless the file holds them all."""
+    G, D = _models(ckpt.config, None)
+    restore_into(ckpt, G, D)
+    return G, D
 
 
 def format_loss_row(step: int, s: StepStats) -> str:

@@ -193,6 +193,55 @@ def gated_cases(draw):
     return x, weights, pad, gate, rng.standard_normal((c_out, length))
 
 
+@st.composite
+def segment_cases(draw):
+    """A time-axis op with the shapes of its weights, and a segment count and
+    per-segment length for its input; lengths run over several SMALL_BLOCK
+    blocks, so blocks hold the windows of several segments."""
+    kind = draw(st.sampled_from(["conv1d", "tconv1d", "gated_conv_pair", "reflect_pad"]),
+                label="kind")
+    c_in, c_out = draw(st.integers(1, 6), label="c_in"), draw(st.integers(1, 6), label="c_out")
+    min_len = 1
+    if kind == "conv1d":  # both lowerings: narrowing needs stride 1 and c_out < c_in
+        k, stride = draw(st.integers(1, 9), label="k"), draw(st.integers(1, 2), label="stride")
+        pad_mode = draw(st.sampled_from(["zero", "reflect"]), label="pad_mode")
+        pad = (draw(st.integers(0, 8), label="pad_l"), draw(st.integers(0, 8), label="pad_r"))
+        min_len = max(1, k - sum(pad))
+        if pad_mode == "reflect":
+            min_len = max(min_len, pad[0] + 1, pad[1] + 1)
+        shapes = [(c_out, c_in, k), (c_out,)]
+
+        def op(x, w, b):
+            return ad.conv1d(x, w, b, stride, pad, pad_mode)
+    elif kind == "tconv1d":
+        k, stride = draw(st.integers(1, 9), label="k"), draw(st.integers(1, 2), label="stride")
+        crop = (draw(st.integers(0, (k - 1) // 2), label="crop_l"),
+                draw(st.integers(0, (k - 1) // 2), label="crop_r"))
+        shapes = [(c_in, c_out, k), (c_out,)]
+
+        def op(x, w, b):
+            return ad.tconv1d(x, w, b, stride, crop)
+    elif kind == "gated_conv_pair":
+        pad = draw(st.integers(0, 4), label="pad")
+        gate = draw(st.sampled_from(["softmax_channel", "sigmoid"]), label="gate")
+        min_len = pad + 1
+        shapes = [(c_out, c_in, 2 * pad + 1), (c_out,)] * 2
+
+        def op(x, wf, bf, wg, bg):
+            return ad.gated_conv_pair(x, wf, bf, wg, bg, pad, gate)
+    else:
+        left, right = draw(st.integers(0, 8), label="left"), draw(st.integers(0, 8), label="right")
+        min_len = max(left, right) + 1
+        shapes = []
+
+        def op(x):
+            return ad.reflect_pad(x, left, right)
+    n_seg = draw(st.integers(1, 4), label="segments")
+    length = draw(st.integers(min_len, min_len + 6 * SMALL_BLOCK), label="length")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return op, shapes, c_in, n_seg, length, rng
+
+
 def gated_run(x, weights, pad, gate, g):
     """gated_conv_pair output and its gradients w.r.t. x and all four weights."""
     params = [Parameter(name, w) for name, w in zip(("wf", "bf", "wg", "bg"), weights)]
@@ -238,6 +287,66 @@ class TestIm2colBlocks:
         y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
         ref = w2.reshape(64, -1) @ ad._im2col(ad._pad_zero(x2, 31, 31), 64, 2)
         assert np.array_equal(y.data, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases())
+    def test_segments_match_per_segment_calls(self, case):
+        """A segment-major call equals the calls on each segment, concatenated.
+
+        Twice: as the engine runs (this case's GEMMs are all small, so each
+        segment gets its own GEMM), and with wide GEMMs forced on data of small
+        integers, whose sums are exact in any order, so that where every
+        segment's terms land is checked apart from the order BLAS sums them in."""
+        op, shapes, c_in, n_seg, length, rng = case
+        for wide in (False, True):
+            if wide:
+                def values(shape):
+                    return rng.integers(-3, 4, shape).astype(np.float64)
+            else:
+                values = rng.standard_normal
+            x = values((c_in, n_seg * length))
+            weights = [values(shape) for shape in shapes]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "IM2COL_BLOCK", SMALL_BLOCK)
+                if wide:
+                    mp.setattr(ad, "SMALL_GEMM_MACS", 0)
+                y = op(Tensor(x, segments=n_seg), *weights)
+                per = [op(Tensor(x[:, i * length : (i + 1) * length]), *weights).data
+                       for i in range(n_seg)]
+            assert y.data.ndim == 2 and y.segments == n_seg
+            assert np.array_equal(y.data, np.concatenate(per, axis=1))
+
+    def test_full_size_segments_float32(self, rng):
+        # G.enc.down0 at segment 528 (its one-segment GEMM is small, so each
+        # segment gets its own) and at 1600 (one wide GEMM), and a decoder
+        # gated conv at segment 1600 (100 columns a segment, one wide GEMM)
+        w = rng.standard_normal((32, 1, 64), dtype=np.float32)
+        wf, wg = (rng.standard_normal((64, 64, 65), dtype=np.float32) for _ in range(2))
+        for op, c, length in [
+            (lambda x: ad.conv1d(x, w, stride=2, pad=(31, 31), pad_mode="reflect"), 1, 528),
+            (lambda x: ad.conv1d(x, w, stride=2, pad=(31, 31), pad_mode="reflect"), 1, 1600),
+            (lambda x: ad.gated_conv_pair(x, wf, None, wg, None, 32), 64, 100),
+        ]:
+            x = rng.standard_normal((c, 3 * length), dtype=np.float32)
+            y = op(Tensor(x, segments=3)).data
+            per = [op(Tensor(x[:, i * length : (i + 1) * length])).data for i in range(3)]
+            assert np.array_equal(y, np.concatenate(per, axis=1))
+
+    def test_tconv1d_blocks_invisible_full_size(self, rng):
+        # G.up.stage3.tconv at a 1 s segment: the forward GEMM runs in column
+        # blocks, last block first, and gives the bits of one GEMM and one fold
+        # while holding a fraction of the (32*66, 8000) taps matrix
+        x = rng.standard_normal((64, 8000), dtype=np.float32)
+        w = rng.standard_normal((64, 32, 66), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = ad.tconv1d(Tensor(x), w, stride=2, crop=(32, 32)).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        taps = w.reshape(64, -1).T @ x
+        assert np.array_equal(y, ad._fold(taps.reshape(32, 66, 8000), 2, 16064)[:, 32:-32])
+        assert peak < taps.nbytes / 3, f"peak {peak} B for {taps.nbytes} B of taps"
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("taps", [4, 5, 64, 65])
@@ -545,3 +654,39 @@ class TestNoGradMode:
         plain = ad.conv1d(Tensor(x), w, b, stride=2, pad=(2, 2), pad_mode="reflect")
         assert np.array_equal(taped.data, plain.data)
         assert plain.tape is None and not Tape().__dict__.get("_records")
+
+
+class TestSegments:
+    def test_length_is_per_segment(self):
+        x = Tensor(np.zeros((2, 12)), segments=3)
+        assert (x.channels, x.length, x.segments) == (2, 4, 3)
+
+    @pytest.mark.parametrize("segments", [0, 5, 2.0])
+    def test_bad_segment_count(self, segments):
+        with pytest.raises(ValueError, match="segments"):
+            Tensor(np.zeros((1, 12)), segments=segments)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: ad.conv1d(x, np.ones((1, 1, 3)), pad=(1, 1), pad_mode="reflect"),
+        lambda x: ad.tconv1d(x, np.ones((1, 1, 2)), stride=2),
+        lambda x: ad.gated_conv_pair(x, np.ones((1, 1, 3)), None, np.ones((1, 1, 3)), None, 1),
+        lambda x: ad.reflect_pad(x, 1, 1),
+        ad.tanh_,
+    ], ids=["conv1d", "tconv1d", "gated_conv_pair", "reflect_pad", "tanh_"])
+    def test_taped_op_takes_one_segment(self, op):
+        tape = Tape()
+        x = Tensor(np.zeros((1, 12)), tape, tape.tensor(np.zeros((1, 12))).node_id, segments=2)
+        with pytest.raises(ValueError, match="taped op takes one segment, got 2"):
+            op(x)
+
+    def test_segment_counts_must_agree(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="segment mismatch"):
+            ad.add_(tape.tensor(np.zeros((1, 12))), Tensor(np.zeros((1, 12)), segments=2))
+        with pytest.raises(ValueError, match="segment mismatch"):
+            ad.concat_channels_(Tensor(np.zeros((1, 12))), Tensor(np.zeros((1, 12)), segments=2))
+
+    @pytest.mark.parametrize("reduce", [ad.mean_, ad.abs_mean_])
+    def test_reductions_take_one_segment(self, reduce):
+        with pytest.raises(ValueError, match="reduction takes one segment"):
+            reduce(Tensor(np.zeros((1, 12)), segments=2))

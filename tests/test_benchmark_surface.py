@@ -141,3 +141,25 @@ def test_gated_conv_pair_signature():
     # the benchmark reads the input and filter weight as the first two arguments
     assert list(inspect.signature(ad.gated_conv_pair).parameters) == [
         "x", "w_filter", "b_filter", "w_gate", "b_gate", "pad", "gate_kind"]
+
+
+def test_tape_record_signature():
+    # the benchmark replaces Tape.record with a wrapper of this signature
+    assert list(inspect.signature(ad.Tape.record).parameters) == [
+        "self", "name", "out_data", "backward_fn"]
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: ad.conv1d(x, np.ones((3, 2, 4), np.float32), None, 2, (1, 1), "reflect"),
+    lambda x: ad.conv1d(x, np.ones((1, 2, 5), np.float32), None, 1, (2, 2), "reflect"),
+    lambda x: ad.tconv1d(x, np.ones((2, 3, 4), np.float32), None, 2, (1, 1)),
+    lambda x: ad.gated_conv_pair(x, np.ones((2, 2, 5), np.float32), None,
+                                 np.ones((2, 2, 5), np.float32), None, 2),
+], ids=["conv1d", "conv1d-narrowing", "tconv1d", "gated_conv_pair"])
+def test_conv_ops_keep_2d_data_over_segments(op):
+    # the benchmark costs a conv-kind call from x.data.shape unpacked as
+    # (c_in, length) and from the output's (c_out, t): the columns of every segment
+    x = ad.Tensor(np.ones((2, 3 * 40), np.float32), segments=3)
+    y = op(x)
+    assert x.data.ndim == 2 and y.data.ndim == 2
+    assert y.segments == 3 and y.data.shape[1] == 3 * y.length

@@ -164,6 +164,43 @@ class TestGenerate:
             assert np.all(np.isfinite(out.data))
 
 
+class TestGenerateSegments:
+    @pytest.mark.parametrize("segment_len,n_seg,short", [
+        (1600, 1, 0), (1600, 4, 700), (1600, 10, 0), (1600, 23, 0), (528, 3, 0),
+    ], ids=["1", "4-padded", "10", "23", "3-at-528"])
+    def test_equals_one_forward_per_segment(self, production, rng, segment_len, n_seg, short):
+        G, _ = production
+        n = n_seg * segment_len - short
+        residual = rng.standard_normal(n, dtype=np.float32)
+        padded = np.zeros(n_seg * segment_len, np.float32)
+        padded[:n] = residual
+        noise = np.random.default_rng(3)
+        m = segment_len // G.cfg.compression
+        want = np.concatenate([
+            G.generate(Tensor(padded[None, i * segment_len : (i + 1) * segment_len]),
+                       NoiseBundle.draw(noise, G.cfg.noise_channels, m)).data[0]
+            for i in range(n_seg)])[:n]
+        got = G.generate_segments(residual, segment_len, np.random.default_rng(3))
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("segment_len,n,forwards", [
+        (1600, 37000, [10, 10, 4]), (16000, 48000, [1, 1, 1]), (528, 528 * 31, [30, 1]),
+    ])
+    def test_forwards_hold_at_most_one_second(self, production, monkeypatch,
+                                              segment_len, n, forwards):
+        G, _ = production
+        seen = []
+
+        def spy(residual, noise):
+            seen.append(residual.segments)
+            return Tensor(np.zeros(residual.data.shape, np.float32), segments=residual.segments)
+
+        monkeypatch.setattr(G, "generate", spy)
+        assert G.generate_segments(np.zeros(n, np.float32), segment_len,
+                                   np.random.default_rng(0)).shape == (n,)
+        assert seen == forwards
+
+
 class TestDiscriminator:
     def test_trace_16000(self, production, rng):
         _, D = production

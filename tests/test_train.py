@@ -402,17 +402,41 @@ class TestTrainStep:
         monkeypatch.setattr(G, "generate", g_spy)
         G.enc_convs[0], D.layers[0] = enc_in, d_in
         stats = T.train_step(batch, G, D, og, od, cfg, rng)
-        n = len(batch)
-        assert len(enc_in.seen) == 2 * n and len(d_in.seen) == 3 * n
+        n, seg = len(batch), cfg.segment_len
+        # the D phase generates every fake in one forward, the G phase one per example
+        assert len(enc_in.seen) == 1 + n and len(d_in.seen) == 3 * n
         for i, (_, r) in enumerate(batch):
-            for cond in (enc_in.seen[i], enc_in.seen[n + i]):
+            for cond in (enc_in.seen[0][:, i * seg : (i + 1) * seg], enc_in.seen[1 + i]):
                 assert np.array_equal(cond, r * scale)
             real, fake, g_phase = d_in.seen[2 * i], d_in.seen[2 * i + 1], d_in.seen[2 * n + i]
             assert np.array_equal(real[0], r[0])
             assert all(np.array_equal(x[1], r[0] * scale) for x in (real, fake, g_phase))
         l1 = np.mean([np.mean(np.abs(out.astype(np.float64) - r))
-                      for (_, r), out in zip(batch, g_out[n:])])
+                      for (_, r), out in zip(batch, g_out[1:])])
         assert stats.l1 == pytest.approx(l1, rel=1e-5)
+
+    def test_d_phase_fakes_equal_per_example_forwards(self, monkeypatch):
+        # one noise per example, drawn in batch order, and each fake with the
+        # bits of a forward on its example alone
+        cfg = self._cfg(batch_size=3)
+        G, D, og, od, batches, rng, _, _ = tiny_setup(cfg)
+        batch = next(batches)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        m = cfg.segment_len // G.cfg.compression
+        want = [G.generate(Tensor(r), NoiseBundle.draw(replay, G.cfg.noise_channels, m)).data
+                for _, r in batch]
+        seen = []
+        orig = D.discriminate
+
+        def spy(candidate, residual, trace=None):
+            seen.append(candidate.data.copy())
+            return orig(candidate, residual, trace)
+
+        monkeypatch.setattr(D, "discriminate", spy)
+        T.train_step(batch, G, D, og, od, cfg, rng)
+        for i, fake in enumerate(want):
+            assert np.array_equal(seen[2 * i + 1], fake)
 
     def test_sn_advances_once_per_phase(self):
         cfg = self._cfg()
@@ -449,6 +473,17 @@ def one_step_ckpt(tmp_path_factory):
 
 
 class TestCheckpoint:
+    def test_restore_models_equals_build_and_restore(self, one_step_ckpt):
+        ckpt = T.load_checkpoint(one_step_ckpt)
+        G, D = T.build_models(ckpt.config)
+        T.restore_into(ckpt, G, D)
+        G2, D2 = T.restore_models(ckpt)
+        want, got = T.state_tensors(G, D, None, None), T.state_tensors(G2, D2, None, None)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and np.array_equal(got[name], arr), name
+        assert G2.cond_scale == D2.cond_scale == ckpt.cond_scale
+
     def _small_run(self, tmp_path, steps=3, **kw):
         cfg = T.TrainConfig(
             batch_size=1, segment_len=528, steps=steps, seed=11,

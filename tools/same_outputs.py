@@ -12,6 +12,9 @@ echoes its arguments) are the same on both sides:
 - ``train`` for each gate and each target (batch 2, segment 1600, 4 steps,
   a checkpoint every 2 steps), and a resume from step 2 to step 4;
 - ``vocode`` with and without ``--skip-cross-synth``;
+- ``gen-corpus`` (1 clip of 37000 samples), and ``vocode`` of it with and
+  without ``--skip-cross-synth``: 24 segments of 1600, the last one padded,
+  generated in three forwards (10, 10 and 4 segments);
 - ``train --config`` with a JSON config file that sets ``lpc_order`` 12
   (4 steps), and ``vocode`` with that checkpoint;
 - ``gen-corpus`` (1 clip of 16000 samples), ``train`` on it at segment
@@ -65,6 +68,13 @@ def scenario() -> list[tuple[str, list[str]]]:
                     "--seed", "1"]),
         ("vocode_raw", ["vocode", "--ckpt", ckpt, "--in", clip, "--out", "vocoded_raw.wav",
                         "--seed", "1", "--skip-cross-synth"]),
+        ("gen_corpus_37k", ["gen-corpus", "--n", "1", "--len", "37000", "--seed", "0",
+                            "--out", "corpus37k"]),
+        ("vocode_multi", ["vocode", "--ckpt", ckpt, "--in", "corpus37k/clip_000.wav",
+                          "--out", "vocoded_multi.wav", "--seed", "1"]),
+        ("vocode_multi_raw", ["vocode", "--ckpt", ckpt, "--in", "corpus37k/clip_000.wav",
+                              "--out", "vocoded_multi_raw.wav", "--seed", "1",
+                              "--skip-cross-synth"]),
         ("train_order12", ["train", "--config", CONFIG_FILE, "--corpus", "corpus",
                            "--out", "train_order12", "--steps", "4", *TRAIN]),
         ("vocode_order12", ["vocode", "--ckpt", "train_order12/final.ckpt", "--in", clip,
