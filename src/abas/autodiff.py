@@ -9,12 +9,13 @@ Running ops on tape-less Tensors (``Tensor(data)``) skips recording entirely,
 which is the inference / frozen-forward mode. Non-finite values are located
 after the fact: ``Tape.first_nonfinite`` names the earliest op that made one.
 
-A tape-less Tensor may hold several signals of equal length side by side on
-its time axis, segment-major: ``Tensor(data, segments=S)`` with data
-(C, S * L), segment i in columns i*L .. (i+1)*L. Time-axis ops (pads,
-convolutions) treat each segment as a signal of its own, pointwise ops do not
-care, and every GEMM runs once over the columns of all segments. Taped ops and
-the reductions take one segment.
+A Tensor may hold several signals of equal length side by side on its time
+axis, segment-major: ``Tensor(data, segments=S)`` (or ``tape.tensor(data, S)``)
+with data (C, S * L), segment i in columns i*L .. (i+1)*L. Time-axis ops
+(pads, convolutions) and their backward passes treat each segment as a signal
+of its own, pointwise ops do not care, and every GEMM runs once over the
+columns of all segments. The reductions ``mean_`` and ``abs_mean_`` give one
+value per segment, and ``batch_mean_`` averages those into a scalar loss.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Parameter:
     def __init__(self, name: str, data):
         self.name = name
         self.data = np.asarray(data)
-        self.grad = np.zeros_like(self.data)
+        # calloc'd: a model that never runs backward never touches these pages
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
 
     def zero_grad(self):
         self.grad[...] = 0
@@ -97,14 +99,14 @@ class Tape:
         self._n_nodes = 0
         self.grads: dict[int, np.ndarray] = {}
 
-    def _new_node(self, data) -> Tensor:
-        t = Tensor(data, self, self._n_nodes)
+    def _new_node(self, data, segments: int = 1) -> Tensor:
+        t = Tensor(data, self, self._n_nodes, segments)
         self._n_nodes += 1
         return t
 
-    def tensor(self, data) -> Tensor:
+    def tensor(self, data, segments: int = 1) -> Tensor:
         """Register an input leaf; its gradient is readable after backward."""
-        return self._new_node(data)
+        return self._new_node(data, segments)
 
     def leaf(self, param: Parameter) -> Tensor:
         """Tape node for a Parameter, cached so repeated use shares one node."""
@@ -183,9 +185,9 @@ def _check_same(a: Tensor, b: Tensor) -> Tape | None:
 def _emit(tape: Tape | None, name: str, out, bwd, segments: int = 1) -> Tensor:
     if tape is None:
         return Tensor(out, segments=segments)
-    if segments != 1:
-        raise ValueError(f"{name}: a taped op takes one segment, got {segments}")
-    return tape.record(name, out, bwd)
+    t = tape.record(name, out, bwd)  # perfbench wraps record with this signature
+    t.segments = segments
+    return t
 
 
 def _split(xd: np.ndarray, segments: int) -> np.ndarray:
@@ -220,13 +222,14 @@ def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
 
 
 def _reflect_adjoint(g: np.ndarray, left: int, right: int, length: int) -> np.ndarray:
-    """Adjoint of _reflect: fold the mirrored margins of g back onto the source."""
-    gx = g[:, left : left + length].copy()
+    """Adjoint of _reflect: fold the mirrored margins of g back onto the source,
+    along the last axis."""
+    gx = g[..., left : left + length].copy()
     if left:
-        gx[:, 1 : left + 1] += g[:, left - 1 :: -1]
+        gx[..., 1 : left + 1] += g[..., left - 1 :: -1]
     if right:
         stop = length - 2 - right
-        gx[:, length - 2 : (stop if stop >= 0 else None) : -1] += g[:, left + length :]
+        gx[..., length - 2 : (stop if stop >= 0 else None) : -1] += g[..., left + length :]
     return gx
 
 
@@ -264,14 +267,17 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # the shapes alone. In general it multiplies the weights with the (c_in*k, T)
 # im2col matrix of the padded input, built IM2COL_BLOCK output columns at a
 # time in one reused buffer, so the whole matrix (k times the input) never
-# exists in the forward pass. The tape keeps the padded input instead:
-# backward rebuilds the whole matrix for the weight-gradient GEMM and frees
-# it before the input-gradient GEMM. A stride-1 conv that narrows
-# (c_out < c_in) instead lowers on the output side: one GEMM gives every
-# tap's contribution at every position, a (c_out*k, L) matrix, and a sum
-# along its diagonals gives the output; its backward works on the im2col of
-# the (c_out, T) output gradient. That keeps a 64 -> 1 channel conv from
-# copying its input k times. Cross-correlation convention throughout: no
+# exists. The tape keeps the unpadded input, and backward pads it again and
+# runs in the same column blocks: each block rebuilds its slice of the im2col
+# matrix for the weight gradient, which sums over the blocks
+# (_im2col_wgrad), and the input gradient's GEMM is folded back block by block
+# (_matmul_fold). A stride-1 conv that narrows (c_out < c_in) instead lowers
+# on the output side: one GEMM gives every tap's contribution at every
+# position, a (c_out*k, L) matrix, and a sum along its diagonals gives the
+# output; its backward works, block by block, on the im2col of the (c_out, T)
+# output gradient. That keeps a 64 -> 1 channel conv from copying its input k
+# times. A transposed conv's backward is the im2col lowering of its padded
+# output gradient, blocked alike. Cross-correlation convention throughout: no
 # kernel flip.
 #
 # On a multi-segment tensor every pad, window, diagonal sum and fold stays
@@ -279,9 +285,11 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # segments; the im2col blocks run across segment edges. Each output column is
 # then the same dot product, over the same operands, as in a call on its
 # segment alone, and in float32 it has the same bits: above SMALL_GEMM_MACS,
-# OpenBLAS's sgemm sums a column alike wherever it sits in the product.
+# OpenBLAS's sgemm sums a column alike wherever it sits in the product. A
+# weight gradient sums over all the columns of all segments, so it is the sum
+# of the per-segment gradients up to rounding.
 
-# Output columns per forward GEMM of the im2col lowering. The blocked product
+# Output columns per GEMM of the blocked im2col products. The blocked product
 # is bit-identical to the one-GEMM product only while OpenBLAS takes the same
 # kernel path for every column: blocks start on multiples of this width (a
 # multiple of the kernels' column grid, 8 or 16), and the last block also
@@ -297,38 +305,20 @@ IM2COL_BLOCK = 1024
 SMALL_GEMM_MACS = 100**3
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Contiguous (C*k, T) column matrix of all kernel-width windows of x (C, L)."""
-    win = sliding_window_view(x, k, axis=1)
-    if stride > 1:
-        win = win[:, ::stride, :]
-    c, t, _ = win.shape
-    cols = np.empty((c * k, t), x.dtype)
-    np.copyto(cols.reshape(c, k, t), win.transpose(0, 2, 1))
-    return cols
-
-
 def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0):
-    """Scatter-add cols[c, k, t] into out[c, (first + t)*stride + k], held as
-    its stride phases: phases[c, p, i] is out[c, i*stride + p]. Each phase is
-    one contiguous row, and the taps are added in ascending order."""
-    t = cols.shape[2]
+    """Scatter-add cols[c, k, ..., t] into out[c, ..., (first + t)*stride + k],
+    held as its stride phases: phases[c, ..., p, i] is out[c, ..., i*stride + p]
+    (the middle axes, if any, are segments). Each phase is one contiguous
+    row, and the taps are added in ascending order."""
+    t = cols.shape[-1]
     for k in range(cols.shape[1]):
         q, p = divmod(k, stride)
-        phases[:, p, first + q : first + q + t] += cols[:, k]
+        phases[..., p, first + q : first + q + t] += cols[:, k]
 
 
 def _unphase(phases: np.ndarray, out_len: int) -> np.ndarray:
     """The signal that phases[..., p, i] holds as out[..., i*stride + p], cut to out_len."""
     return np.swapaxes(phases, -1, -2).reshape(*phases.shape[:-2], -1)[..., :out_len]
-
-
-def _fold(cols: np.ndarray, stride: int, out_len: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add cols[c, k, t] into out[c, t*stride + k],
-    every output summing its terms in the order of a plain strided scatter-add."""
-    phases = np.zeros((cols.shape[0], stride, -(-out_len // stride)), cols.dtype)
-    _fold_add(phases, cols, stride)
-    return _unphase(phases, out_len)
 
 
 def _small(a: np.ndarray, cols: int) -> bool:
@@ -345,53 +335,115 @@ def _matmul_segments(a: np.ndarray, b: np.ndarray, segments: int) -> np.ndarray:
 
 def _column_blocks(t_seg: int, segments: int) -> list:
     """IM2COL_BLOCK-wide blocks (t0, t1, pieces) of segments * t_seg
-    segment-major columns, the last block taking the remainder; each piece
-    (s, a, b) is the run of segment s's columns a .. b that the block holds."""
+    segment-major columns, the last block taking the remainder. A piece
+    (s0, s1, a, b) is columns a .. b of each of segments s0 .. s1 - 1, side by
+    side in the block: a part of one segment, or a run of whole segments."""
     total = segments * t_seg
     edges = [i * IM2COL_BLOCK for i in range(max(1, total // IM2COL_BLOCK))] + [total]
-    return [(t0, t1, [(s, max(t0, s * t_seg) - s * t_seg, min(t1, (s + 1) * t_seg) - s * t_seg)
-                      for s in range(t0 // t_seg, -(-t1 // t_seg))])
-            for t0, t1 in zip(edges, edges[1:])]
+    blocks = []
+    for t0, t1 in zip(edges, edges[1:]):
+        (s0, a), (s1, b) = divmod(t0, t_seg), divmod(t1, t_seg)
+        if s0 == s1:
+            pieces = [(s0, s0 + 1, a, b)]
+        else:
+            pieces = [(s0, s0 + 1, a, t_seg)] if a else []
+            s0 += bool(a)
+            pieces += [(s0, s1, 0, t_seg)] if s1 > s0 else []
+            pieces += [(s1, s1 + 1, 0, b)] if b else []
+        blocks.append((t0, t1, pieces))
+    return blocks
+
+
+def _piece(block: np.ndarray, t_seg: int, t0: int, piece) -> np.ndarray:
+    """The part of a block buffer (c, k, width) that holds a piece of
+    _column_blocks, as (c, k, segments, columns)."""
+    s0, s1, a, b = piece
+    o = s0 * t_seg + a - t0
+    return block[:, :, o : o + (s1 - s0) * (b - a)].reshape(*block.shape[:2], s1 - s0, b - a)
+
+
+def _windows(xp: np.ndarray, k: int, stride: int, segments: int) -> np.ndarray:
+    """(c, S, t, k) view of every kernel-width window of each segment of xp."""
+    return sliding_window_view(_split(xp, segments), k, axis=2)[:, :, ::stride]
+
+
+def _im2col_blocks(win: np.ndarray, blocks: list):
+    """Yield (t0, t1, cols) for each block of _column_blocks: cols is columns
+    t0 .. t1 of the im2col matrices of the windows win (c, S, t, k) side by
+    side, built in one buffer that every block reuses, so it lives until the
+    next block. A block may hold the windows of several segments."""
+    c, _, t_seg, k = win.shape
+    buf = np.empty((c, k, blocks[-1][1] - blocks[-1][0]), win.dtype)  # the last is the widest
+    cols = buf.reshape(c * k, -1)
+    for t0, t1, pieces in blocks:
+        for piece in pieces:
+            s0, s1, a, b = piece
+            np.copyto(_piece(buf, t_seg, t0, piece), win[:, s0:s1, a:b].transpose(0, 3, 1, 2))
+        yield t0, t1, cols[:, : t1 - t0]
 
 
 def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int,
                    segments: int = 1) -> np.ndarray:
-    """w_mat @ the im2col matrices of the segments of xp side by side, with the
-    columns built IM2COL_BLOCK outputs at a time in one buffer that every
-    block reuses. A block may hold the windows of several segments."""
-    c = xp.shape[0]
-    win = sliding_window_view(_split(xp, segments), k, axis=2)[:, :, ::stride]  # (c, S, t, k)
+    """w_mat @ the im2col matrices of the segments of xp side by side, built
+    IM2COL_BLOCK output columns at a time (_im2col_blocks)."""
+    win = _windows(xp, k, stride, segments)
     t_seg = win.shape[2]
     if segments > 1 and _small(w_mat, min(t_seg, IM2COL_BLOCK)):  # a one-segment block
         return np.concatenate([_im2col_matmul(w_mat, xs, k, stride)
                                for xs in np.split(xp, segments, axis=1)], axis=1)
-    blocks = _column_blocks(t_seg, segments)
-    buf = np.empty((c, k, blocks[-1][1] - blocks[-1][0]), xp.dtype)  # the last is the widest
-    cols = buf.reshape(c * k, -1)
     y = np.empty((w_mat.shape[0], segments * t_seg), np.result_type(w_mat, xp))
-    for t0, t1, pieces in blocks:
-        for s, a, b in pieces:
-            o = s * t_seg + a - t0
-            np.copyto(buf[:, :, o : o + b - a], win[:, s, a:b].transpose(0, 2, 1))
-        np.matmul(w_mat, cols[:, : t1 - t0], out=y[:, t0:t1])
+    for t0, t1, cols in _im2col_blocks(win, _column_blocks(t_seg, segments)):
+        np.matmul(w_mat, cols, out=y[:, t0:t1])
     return y
+
+
+def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int,
+                  segments: int = 1, w_mat: np.ndarray | None = None):
+    """(gw, y): gw is a @ the transposed im2col matrices of the segments of xp
+    side by side, a weight gradient: one GEMM per IM2COL_BLOCK columns
+    (_im2col_blocks), summed block after block, or one GEMM over every column
+    where a block-wide one would be small (see SMALL_GEMM_MACS), so the
+    matrix has under 1000 rows.
+
+    y is None, or given w_mat, shaped like gw, _im2col_matmul(w_mat, xp, ...)
+    from the same blocks where both products run blocked: the input gradient
+    of a transposed or narrowing conv, which needs the same matrix."""
+    win = _windows(xp, k, stride, segments)
+    t_seg = win.shape[2]
+    small = a.shape[0] * win.shape[0] * k * IM2COL_BLOCK <= SMALL_GEMM_MACS
+    if w_mat is not None and (small or segments > 1 and _small(w_mat, t_seg)):
+        return (_im2col_wgrad(a, xp, k, stride, segments)[0],
+                _im2col_matmul(w_mat, xp, k, stride, segments))
+    if small:
+        blocks = [(0, segments * t_seg, [(0, segments, 0, t_seg)])]
+    else:
+        blocks = _column_blocks(t_seg, segments)
+    gw = np.zeros((a.shape[0], win.shape[0] * k), np.result_type(a, xp))
+    y = None if w_mat is None else np.empty((w_mat.shape[0], segments * t_seg), gw.dtype)
+    for t0, t1, cols in _im2col_blocks(win, blocks):
+        gw += np.matmul(a[:, t0:t1], cols.T)
+        if y is not None:
+            np.matmul(w_mat, cols, out=y[:, t0:t1])
+    return gw, y
 
 
 def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: int,
                  segments: int = 1) -> np.ndarray:
-    """_fold of w_t @ xd, (C*k, S*L) taps folded with stride into (C, S, out_len),
-    each segment on its own: a transposed conv's raw output. The GEMM runs
-    IM2COL_BLOCK input columns at a time, so the taps of a whole 1 s signal
-    never exist at once, except where a block that wide would be small (see
-    SMALL_GEMM_MACS): there a segment gets one GEMM. Blocks run last first: an
-    output adds its taps in ascending order, and later inputs hold its lower
-    taps, so every output sums in _fold's order."""
+    """w_t @ xd, (C*k, S*L) taps, folded with stride into (C, S, out_len): tap j
+    of input column t adds to output t*stride + j of its segment. That is a
+    transposed conv's raw output, or a conv's input gradient (the adjoint of
+    im2col). The GEMM runs IM2COL_BLOCK input columns at a time, so the taps
+    of a whole 1 s signal never exist at once, except where a block that wide
+    would be small (see SMALL_GEMM_MACS): there a segment gets one GEMM.
+    Blocks run last first: an output adds its taps in ascending order, and
+    later inputs hold its lower taps, so every output sums in the order of
+    one strided scatter-add of the whole product, tap after tap."""
     t_seg = xd.shape[1] // segments
     if segments > 1 and _small(w_t, min(t_seg, IM2COL_BLOCK)):
         return np.concatenate([_matmul_fold(w_t, xs, k, stride, out_len)
                                for xs in np.split(xd, segments, axis=1)], axis=1)
     whole = _small(w_t, IM2COL_BLOCK)  # one segment here
-    blocks = [(0, t_seg, [(0, 0, t_seg)])] if whole else _column_blocks(t_seg, segments)
+    blocks = [(0, t_seg, [(0, 1, 0, t_seg)])] if whole else _column_blocks(t_seg, segments)
     c = w_t.shape[0] // k
     dtype = np.result_type(w_t, xd)
     phases = np.zeros((c, segments, stride, -(-out_len // stride)), dtype)
@@ -399,9 +451,10 @@ def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: 
     cols = buf.reshape(c * k, -1)
     for t0, t1, pieces in reversed(blocks):
         np.matmul(w_t, xd[:, t0:t1], out=cols[:, : t1 - t0])
-        for s, a, b in pieces:
-            o = s * t_seg + a - t0
-            _fold_add(phases[:, s], buf[:, :, o : o + b - a], stride, a)
+        for piece in pieces:
+            s0, s1, a, _ = piece
+            _fold_add(phases[:, s0:s1], _piece(buf, t_seg, t0, piece), stride, a)
+    del buf, cols  # before _unphase copies the phases
     return _unphase(phases, out_len)
 
 
@@ -411,6 +464,11 @@ def _pad_zero(x: np.ndarray, left: int, right: int) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (length + left + right,), x.dtype)
     out[..., left : left + length] = x
     return out
+
+
+def _pad_segments(xd: np.ndarray, segments: int, left: int, right: int) -> np.ndarray:
+    """Each segment of xd zero-padded; xd itself when there is no pad."""
+    return _join(_pad_zero(_split(xd, segments), left, right)) if (left or right) else xd
 
 
 def conv1d(
@@ -450,7 +508,7 @@ def conv1d(
     lp = length + pl + pr
     if lp < k:
         raise ValueError(f"padded length {lp} < kernel width {k}")
-    xp = _join(_pad_zero(_split(xd, n_seg), pl, pr)) if (pl or pr) else xd
+    xp = _pad_segments(xd, n_seg, pl, pr)
     narrowing = stride == 1 and c_out < c_in
     if narrowing:
         # taps[o, j, s] = sum_c w[o, c, j] * xp[c, s]; y[o, t] = sum_j taps[o, j, t + j]
@@ -471,24 +529,22 @@ def conv1d(
     def bwd(g):
         out = []
         if narrowing:
-            # gcols[o*k + m, s] = g[o, s + m - (k - 1)], zero outside g
-            gcols = _im2col(_pad_zero(g, k - 1, k - 1), k, 1)
-            if w_id >= 0:
-                gw_rev = np.matmul(xp, gcols.T).reshape(c_in, c_out, k)
-                out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
+            # gcols[o*k + m, s] = g[o, s + m - (k - 1)] within each segment, zero outside g
             w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            gx = np.matmul(w_rev, gcols)
+            gw_rev, gx = _im2col_wgrad(_pad_segments(xd, n_seg, pl, pr),
+                                       _pad_segments(g, n_seg, k - 1, k - 1), k, 1, n_seg, w_rev)
+            if w_id >= 0:
+                gw_rev = gw_rev.reshape(c_in, c_out, k)
+                out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
+            gx = _split(gx, n_seg)
         else:
             if w_id >= 0:
-                gw = np.matmul(g, _im2col(xp, k, stride).T)
+                gw, _ = _im2col_wgrad(g, _pad_segments(xd, n_seg, pl, pr), k, stride, n_seg)
                 out.append((w_id, gw.reshape(w_data.shape)))
-            gcols = np.matmul(w_mat.T, g).reshape(c_in, k, g.shape[1])
-            gx = _fold(gcols, stride, lp)
+            gx = _matmul_fold(w_mat.T, g, k, stride, lp, n_seg)
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
-        if pl or pr:
-            gx = gx[:, pl : lp - pr]
-        out.append((x_id, gx))
+        out.append((x_id, _join(gx[..., pl : lp - pr])))
         return out
 
     return _emit(tape, "conv1d", y, bwd, n_seg)
@@ -521,14 +577,13 @@ def tconv1d(
         y += b_data.reshape(-1, 1)
 
     def bwd(g):
-        g_raw = _pad_zero(g, cl, cr)
-        gcols = _im2col(g_raw, k, stride)  # (c_out*k, length)
-        out = []
+        # the im2col lowering of the raw output gradient, (c_out*k, length) a segment
+        gw, gx = _im2col_wgrad(xd, _pad_segments(g, n_seg, cl, cr), k, stride, n_seg, w_mat)
+        out = [(x_id, gx)]
         if w_id >= 0:
-            out.append((w_id, np.matmul(xd, gcols.T).reshape(w_data.shape)))
+            out.append((w_id, gw.reshape(w_data.shape)))
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
-        out.append((x_id, np.matmul(w_mat, gcols)))
         return out
 
     return _emit(tape, "tconv1d", y, bwd, n_seg)
@@ -553,8 +608,9 @@ def gated_conv_pair(
     The filter and gate convolutions share one reflect pad and one blocked
     im2col product (see _im2col_matmul), with their weights stacked into one
     GEMM per block, which matters because gated layers dominate the
-    generator's cost; backward rebuilds the im2col matrix only for the weight
-    gradient. Produces the exact values of the equivalent op composition
+    generator's cost; backward runs in the same blocks. The tape keeps the
+    unpadded input, the output, tanh(filter) and the gate's softmax or
+    sigmoid. Produces the exact values of the equivalent op composition
     (GEMM rows are independent), with the softmax gate composed as
     ``scale_(channel_softmax(gate), c_out)``.
     """
@@ -575,10 +631,13 @@ def gated_conv_pair(
         raise ValueError("gated conv pad must preserve length (k = 2*pad + 1)")
     if gate_kind not in ("softmax_channel", "sigmoid"):
         raise ValueError(f"unknown gate kind {gate_kind!r}")
-    xp = _join(_reflect(_split(xd, n_seg), pad, pad))
+
+    def padded():
+        return _join(_reflect(_split(xd, n_seg), pad, pad))
+
     ck = c_in * k
     w_stack = np.concatenate([wf.reshape(c_out, ck), wg.reshape(c_out, ck)])
-    y_stack = _im2col_matmul(w_stack, xp, k, 1, n_seg)
+    y_stack = _im2col_matmul(w_stack, padded(), k, 1, n_seg)
     yf, yg = y_stack[:c_out], y_stack[c_out:]
     if bf is not None:
         yf += bf.reshape(-1, 1)
@@ -586,39 +645,36 @@ def gated_conv_pair(
         yg += bg.reshape(-1, 1)
 
     softmax = gate_kind == "softmax_channel"
+    gain = yg.dtype.type(c_out)
     f = np.tanh(yf)
-    if softmax:
-        gain = yg.dtype.type(c_out)
-        probs = _softmax(yg)
-        gate = probs * gain
-    else:
-        gate = _sigmoid(yg)
-    y = f * gate
+    act = _softmax(yg) if softmax else _sigmoid(yg)  # the gate is act, times gain for softmax
+    y = f * (act * gain) if softmax else f * act
 
     def bwd(g):
         # through the product and the two activations
+        gate = act * gain if softmax else act
         d_yf = _tanh_vjp(g * gate, f)
         d_gate = g * f
         if softmax:
             d_gate *= gain
-            d_yg = _softmax_vjp(d_gate, probs)
+            d_yg = _softmax_vjp(d_gate, act)
         else:
-            d_yg = _sigmoid_vjp(d_gate, gate)
+            d_yg = _sigmoid_vjp(d_gate, act)
         d_stack = np.concatenate([d_yf, d_yg])
+        del gate, d_yf, d_gate, d_yg  # not alive beside the blocks' column buffer
         out = []
         if wf_id >= 0 or wg_id >= 0:
-            gw_stack = np.matmul(d_stack, _im2col(xp, k, 1).T)
+            gw_stack, _ = _im2col_wgrad(d_stack, padded(), k, 1, n_seg)
             if wf_id >= 0:
                 out.append((wf_id, gw_stack[:c_out].reshape(wf.shape)))
             if wg_id >= 0:
                 out.append((wg_id, gw_stack[c_out:].reshape(wg.shape)))
         if bf_id >= 0:
-            out.append((bf_id, d_yf.sum(axis=1)))
+            out.append((bf_id, d_stack[:c_out].sum(axis=1)))
         if bg_id >= 0:
-            out.append((bg_id, d_yg.sum(axis=1)))
-        gcols = np.matmul(w_stack.T, d_stack).reshape(c_in, k, g.shape[1])
-        gxp = _fold(gcols, 1, length + 2 * pad)
-        out.append((x_id, _reflect_adjoint(gxp, pad, pad, length)))
+            out.append((bg_id, d_stack[c_out:].sum(axis=1)))
+        gxp = _matmul_fold(w_stack.T, d_stack, k, 1, length + 2 * pad, n_seg)
+        out.append((x_id, _join(_reflect_adjoint(gxp, pad, pad, length))))
         return out
 
     return _emit(tape, "gated_conv_pair", y, bwd, n_seg)
@@ -631,7 +687,8 @@ def reflect_pad(x: Tensor, left: int, right: int) -> Tensor:
     x_id = x.node_id
     return _emit(
         x.tape, "reflect_pad", y,
-        lambda g: [(x_id, _reflect_adjoint(g, left, right, length))], n_seg,
+        lambda g: [(x_id, _join(_reflect_adjoint(_split(g, n_seg), left, right, length)))],
+        n_seg,
     )
 
 
@@ -755,28 +812,50 @@ def shift_(x: Tensor, c: float) -> Tensor:
     return _emit(x.tape, "shift", x.data + c, lambda g: [(x_id, g)], x.segments)
 
 
+def _segment_rows(xd: np.ndarray, segments: int) -> np.ndarray:
+    """(S, C*L): each segment's values as one contiguous row, so that a row's
+    mean has the bits of np.mean over a call on that segment alone."""
+    return _split(xd, segments).transpose(1, 0, 2).reshape(segments, -1)
+
+
 def abs_mean_(x: Tensor) -> Tensor:
-    """Mean absolute value as a (1, 1) scalar tensor, of a one-segment tensor."""
-    if x.segments != 1:
-        raise ValueError(f"abs_mean: a reduction takes one segment, got {x.segments}")
-    xd = x.data
+    """Mean absolute value of each segment, as a (1, S) tensor of S one-value segments."""
+    xd, n_seg = x.data, x.segments
     x_id = x.node_id
-    y = np.array([[np.mean(np.abs(xd))]], dtype=xd.dtype)
+    rows = _segment_rows(xd, n_seg)
+    y = np.mean(np.abs(rows), axis=1).reshape(1, n_seg)
+    n = rows.shape[1]
     return _emit(
         x.tape, "abs_mean", y,
-        lambda g: [(x_id, (g.reshape(())[()] / xd.size) * np.sign(xd))],
+        lambda g: [(x_id, _join((g.reshape(1, n_seg, 1) / n) * np.sign(_split(xd, n_seg))))],
+        n_seg,
     )
 
 
 def mean_(x: Tensor) -> Tensor:
-    """Plain mean as a (1, 1) scalar tensor, of a one-segment tensor."""
-    if x.segments != 1:
-        raise ValueError(f"mean: a reduction takes one segment, got {x.segments}")
+    """Plain mean of each segment, as a (1, S) tensor of S one-value segments."""
+    xd, n_seg = x.data, x.segments
+    x_id = x.node_id
+    rows = _segment_rows(xd, n_seg)
+    y = np.mean(rows, axis=1).reshape(1, n_seg)
+    n = rows.shape[1]
+    shape = (xd.shape[0], n_seg, n // xd.shape[0])
+    return _emit(
+        x.tape, "mean", y,
+        lambda g: [(x_id, _join(np.broadcast_to((g.reshape(1, n_seg, 1) / n).astype(xd.dtype),
+                                                shape)))],
+        n_seg,
+    )
+
+
+def batch_mean_(x: Tensor) -> Tensor:
+    """Mean of every value of x, all segments together, as a (1, 1) scalar: the
+    batch mean of the one value per segment that mean_ and abs_mean_ give."""
     xd = x.data
     x_id = x.node_id
     y = np.array([[np.mean(xd)]], dtype=xd.dtype)
     return _emit(
-        x.tape, "mean", y,
+        x.tape, "batch_mean", y,
         lambda g: [(x_id, np.full(xd.shape, g.reshape(())[()] / xd.size, dtype=xd.dtype))],
     )
 

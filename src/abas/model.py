@@ -21,9 +21,10 @@ sets it again, so no caller scales the residual. At its natural RMS of about
 gain <= 1, and the output would ignore it.
 
 Everything is fully convolutional: any input length that is a multiple of the
-compression factor and at least ``min_input_length`` works. A tape-less
-forward also takes several segments of one length side by side (see
-``autodiff``); ``generate_segments`` runs its segments that way.
+compression factor and at least ``min_input_length`` works. A forward, taped
+or not, also takes several segments of one length side by side (see
+``autodiff``): ``generate_segments`` and the training step run their segments
+that way, and ``discriminate`` gives one score per segment.
 """
 
 from __future__ import annotations
@@ -44,11 +45,16 @@ from .nn import (
     TConv1d,
 )
 
-# Samples per tape-less forward of generate_segments (at least one segment):
-# the segments of one forward share every GEMM, which at a short segment makes
-# the GEMMs wide enough for every BLAS thread, and no forward holds more than
-# one at the recipe's 1 s segment.
+# Samples per forward of generate_segments and per taped forward of a
+# training phase (at least one segment): the segments of one forward share
+# every GEMM, which at a short segment makes the GEMMs wide enough for every
+# BLAS thread, and no forward holds more than one at the recipe's 1 s segment.
 FORWARD_SAMPLES = 16000
+
+
+def segments_per_forward(segment_len: int) -> int:
+    """Segments of ``segment_len`` samples that one forward runs side by side."""
+    return max(1, FORWARD_SAMPLES // segment_len)
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,7 @@ class Generator(_Layered):
         if noise.base.shape != want:
             raise ValueError(f"noise shape mismatch: got {noise.base.shape}, want {want}")
         tape = hidden.tape
-        n = (tape.tensor(noise.base) if tape is not None
+        n = (tape.tensor(noise.base, hidden.segments) if tape is not None
              else Tensor(noise.base, segments=hidden.segments))
         sig = hidden
         for tconv, gated, ntconv in zip(self.up_tconvs, self.up_gated, self.noise_tconvs):
@@ -275,7 +281,7 @@ class Generator(_Layered):
         out = np.empty_like(padded)
         m = segment_len // self.cfg.compression
         nch = self.cfg.noise_channels
-        per_forward = max(1, FORWARD_SAMPLES // segment_len)
+        per_forward = segments_per_forward(segment_len)
         for first in range(0, n_seg, per_forward):
             s = min(per_forward, n_seg - first)
             z = np.concatenate([NoiseBundle.draw(rng, nch, m, self.dtype).base for _ in range(s)],
@@ -291,7 +297,8 @@ class Generator(_Layered):
 
 
 class Discriminator(_Layered):
-    """Strided conv stack over (candidate, residual) with a global-mean head."""
+    """Strided conv stack over (candidate, residual) with a global-mean head:
+    one score per segment, a (1, S) tensor."""
 
     def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator | None,
                  dtype=np.float32):

@@ -22,13 +22,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsp
-from .autodiff import Parameter, Tape
+from .autodiff import Parameter, Tape, Tensor
 from .model import (
     Discriminator,
     DiscriminatorConfig,
     Generator,
     GeneratorConfig,
     NoiseBundle,
+    segments_per_forward,
 )
 from .nn import GATE_KINDS, GATE_SOFTMAX
 from .wavio import read_wav, write_wav
@@ -341,14 +342,18 @@ def train_step(
 ) -> StepStats:
     """One discriminator update followed by one generator update.
 
-    Fresh noise is drawn for each phase; spectral-norm power iterations
-    advance exactly once per phase, before its forwards; gradients are zeroed
-    between phases. The D phase generates its fakes with G frozen, side by
-    side in tape-less forwards (``generate_segments``), with one noise per
-    example drawn in batch order as the G phase does. G and D scale the
-    residual they are conditioned on by their own ``cond_scale``; in
-    residual-target mode the L1 target and D's real candidate are the
-    residual as the batch holds it.
+    Each phase runs the batch as the segments of taped forwards of up to
+    FORWARD_SAMPLES samples (``segments_per_forward``), each with one tape and
+    one loss: the batch mean of its examples' losses, scaled by its share of
+    the batch, so the gradients of its forwards sum to the batch's. Fresh
+    noise is drawn for each phase, one per example in batch order;
+    spectral-norm power iterations advance exactly once per phase, before its
+    forwards; gradients are zeroed between phases. The D phase generates each
+    forward's fakes with G frozen (``generate_segments``, one tape-less
+    forward) and scores its real and fake candidates side by side, as twice
+    as many segments. G and D scale the residual they are conditioned on by
+    their own ``cond_scale``; in residual-target mode the L1 target and D's
+    real candidate are the residual as the batch holds it.
     """
     g_params = G.parameters()
     d_params = D.parameters()
@@ -357,27 +362,27 @@ def train_step(
     seg = config.segment_len
     m = seg // G.cfg.compression
     residual_target = config.target_mode == TARGET_RESIDUAL
+    per = segments_per_forward(seg)
+    # the examples of each forward side by side: (count, speech, residual)
+    parts = [(len(p), np.concatenate([x for x, _ in p], axis=1),
+              np.concatenate([r for _, r in p], axis=1))
+             for p in (batch[i : i + per] for i in range(0, len(batch), per))]
 
     # -- discriminator phase
     D.advance_spectral_norm()
     for p in g_params + d_params:
         p.zero_grad()
     d_loss = 0.0
-    fakes = G.generate_segments(np.concatenate([r for _, r in batch], axis=1)[0], seg, rng)
-    for i, (x_seg, r_seg) in enumerate(batch):
-        fake = fakes[None, i * seg : (i + 1) * seg]
+    for n, speech, res in parts:
+        fake = G.generate_segments(res[0], seg, rng)[None]
+        real = res if residual_target else speech
         tape = Tape()
-        real_candidate = r_seg if residual_target else x_seg
-        d_real = D.discriminate(tape.tensor(real_candidate), tape.tensor(r_seg))
-        d_fake = D.discriminate(tape.tensor(fake), tape.tensor(r_seg))
-        # max(0, 1 - real) + max(0, 1 + fake), averaged over the batch
-        loss = ad.scale_(
-            ad.add_(
-                ad.relu_(ad.shift_(ad.scale_(d_real, -1.0), 1.0)),
-                ad.relu_(ad.shift_(d_fake, 1.0)),
-            ),
-            inv_b,
-        )
+        scores = D.discriminate(tape.tensor(np.concatenate([real, fake], axis=1), 2 * n),
+                                tape.tensor(np.concatenate([res, res], axis=1), 2 * n))
+        # max(0, 1 - real) + max(0, 1 + fake), as max(0, 1 + sign * score)
+        sign = Tensor(np.repeat(np.array([[-1, 1]], scores.data.dtype), n, axis=1), segments=2 * n)
+        hinge = ad.relu_(ad.shift_(ad.mul_(scores, sign), 1.0))
+        loss = ad.scale_(ad.batch_mean_(hinge), 2 * n * inv_b)
         _check_finite(tape, loss.item(), "discriminator loss")
         tape.backward(loss)
         d_loss += loss.item()
@@ -389,22 +394,21 @@ def train_step(
         p.zero_grad()
     l1_mean = 0.0
     adv_mean = 0.0
-    for x_seg, r_seg in batch:
-        z = NoiseBundle.draw(rng, nch, m, dtype=x_seg.dtype)
+    for n, speech, res in parts:
+        z = np.concatenate([NoiseBundle.draw(rng, nch, m, speech.dtype).base for _ in range(n)],
+                           axis=1)
         tape = Tape()
-        cond = tape.tensor(r_seg)
-        fake = G.generate(cond, z)
-        target = r_seg if residual_target else x_seg
-        l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(target)))
+        cond = tape.tensor(res, n)
+        fake = G.generate(cond, NoiseBundle(z))
+        l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(res if residual_target else speech, n)))
         adv = D.discriminate(fake, cond)
-        loss = ad.scale_(
-            ad.add_(ad.scale_(l1, config.gamma), ad.scale_(adv, -(1.0 - config.gamma))),
-            inv_b,
-        )
+        loss = ad.scale_(ad.batch_mean_(
+            ad.add_(ad.scale_(l1, config.gamma), ad.scale_(adv, -(1.0 - config.gamma)))),
+            n * inv_b)
         _check_finite(tape, loss.item(), "generator loss")
         tape.backward(loss)
-        l1_mean += l1.item() * inv_b
-        adv_mean += adv.item() * inv_b
+        l1_mean += float(np.sum(l1.data, dtype=np.float64)) * inv_b
+        adv_mean += float(np.sum(adv.data, dtype=np.float64)) * inv_b
     adam_amsgrad_step(g_params, opt_g, config.lr_g, config.betas)
     for p in g_params + d_params:
         p.zero_grad()
@@ -626,17 +630,10 @@ class _Reader:
         self.pos += 4 * count
         return out
 
-    def u8(self):
-        return struct.unpack("<B", self.read(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.read(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.read(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.read(8))[0]
+    def uint(self, fmt: str) -> int:
+        """One little-endian unsigned integer of struct format fmt ("B", "H", "I", "Q")."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -653,12 +650,12 @@ def load_checkpoint(path) -> Checkpoint:
     r = _Reader(raw)
     if r.read(4) != CKPT_MAGIC:
         raise BadMagic("bad magic")
-    version = r.u32()
+    version = r.uint("I")
     if version != CKPT_VERSION:
         raise BadVersion(
             f"unsupported version {version}; this build reads version {CKPT_VERSION}"
         )
-    blob = json.loads(r.read(r.u32()).decode("utf-8"))
+    blob = json.loads(r.read(r.uint("I")).decode("utf-8"))
     for key in ("config", "rng_state", "adam_t", "cond_scale"):
         if key not in blob:
             raise CheckpointError(f"checkpoint metadata lacks {key!r}")
@@ -667,17 +664,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint metadata 'cond_scale' must be a positive "
                               f"finite number, got {cond_scale!r}")
     config = TrainConfig.from_dict(blob["config"])
-    n_tensors = r.u32()
+    n_tensors = r.uint("I")
     tensors = {}
     for _ in range(n_tensors):
-        name = r.read(r.u16()).decode("utf-8")
+        name = r.read(r.uint("H")).decode("utf-8")
         if name in tensors:
             raise CheckpointError(f"tensor {name!r} appears twice")
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
+        rank = r.uint("B")
+        shape = tuple(r.uint("I") for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         tensors[name] = r.floats(count).reshape(shape)
-    step = r.u64()
+    step = r.uint("Q")
     return Checkpoint(config, tensors, blob["rng_state"], step, blob["adam_t"], float(cond_scale))
 
 

@@ -2,7 +2,8 @@
 
 Shared by the test suite and the grad-check command. All checks run in
 float64 at small shapes; each entry rebuilds its forward pass from frozen
-random inputs so central differences are exact to O(eps^2).
+random inputs so central differences are exact to O(eps^2). Entries marked
+``S=3`` run their input as three taped segments side by side.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ TOLERANCE = 1e-5
 
 
 def _loss_of(t):
-    return ad.abs_mean_(t)
+    return ad.batch_mean_(ad.abs_mean_(t))
 
 
 def _op_checks(seed: int):
@@ -120,16 +121,57 @@ def _op_checks(seed: int):
             return tape, _loss_of(ad.tanh_(fn(tape.leaf(win), tape.leaf(win2))))
         add_check(name, (make, [win, win2]))
 
+    x16s = rng.normal(size=(4, 3 * 16))
     for gate in ("softmax_channel", "sigmoid"):
         layer = nn.GatedConvLayer(
             np.random.default_rng(seed + 1), f"gc_{gate}", 4, 3, 5, gate, np.float64
         )
 
-        def make(layer=layer):
-            tape = Tape()
-            return tape, _loss_of(layer(tape.tensor(x16)))
+        for n_seg, x in ((1, x16), (3, x16s)):
+            def make(layer=layer, n_seg=n_seg, x=x):
+                tape = Tape()
+                return tape, _loss_of(layer(tape.tensor(x, n_seg)))
 
-        add_check(f"gated_conv[{gate}]", (make, layer.parameters()))
+            add_check(f"gated_conv[{gate}{', S=3' if n_seg > 1 else ''}]",
+                      (make, layer.parameters()))
+
+    # the time-axis ops and the reductions on three segments of 20
+    xs = rng.normal(size=(3, 3 * 20))
+    w4 = Parameter("w4", rng.normal(size=(5, 3, 4)))
+    # c_out 5 of 3 lowers on the im2col side; c_out 2, at stride 1, narrows
+    for wp, bp, strides in ((w4, b, (1, 2)), (w2, b2, (1,))):
+        for pad_mode in ("zero", "reflect"):
+            for stride in strides:
+                def make(wp=wp, bp=bp, pad_mode=pad_mode, stride=stride):
+                    tape = Tape()
+                    y = ad.conv1d(tape.tensor(xs, 3), wp, bp, stride, (3, 2), pad_mode)
+                    return tape, _loss_of(y)
+
+                lowering = "narrowing" if wp is w2 else "im2col"
+                add_check(f"conv1d[{lowering}, {pad_mode} pad, stride {stride}, S=3]",
+                          (make, [wp, bp]))
+
+    def tconv_s3():
+        tape = Tape()
+        return tape, _loss_of(ad.tconv1d(tape.tensor(xs, 3), wt, bt, stride=2, crop=(2, 2)))
+
+    add_check("tconv1d[stride 2, crop, S=3]", (tconv_s3, [wt, bt]))
+
+    # reflect_pad and the reductions on three segments, behind a conv whose
+    # weight gradient passes through their adjoints
+    def refl_s3():
+        tape = Tape()
+        y = ad.conv1d(tape.tensor(xs, 3), w4, b, 2, (3, 3))
+        return tape, _loss_of(ad.tanh_(ad.reflect_pad(y, 4, 3)))
+
+    add_check("reflect_pad[S=3]", (refl_s3, [w4, b]))
+
+    def mean_s3():
+        tape = Tape()
+        y = ad.conv1d(tape.tensor(xs, 3), w4, b, 2, (3, 3))
+        return tape, ad.batch_mean_(ad.mul_(ad.mean_(ad.tanh_(y)), ad.abs_mean_(y)))
+
+    add_check("mean, abs_mean, batch_mean[S=3]", (mean_s3, [w4, b]))
 
     sn_conv = nn.Conv1d(
         np.random.default_rng(seed + 2), "snc", 4, 3, 4, 2, (1, 1), "zero", np.float64
@@ -178,10 +220,25 @@ def _model_checks(seed: int):
         l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(x)))
         return tape, ad.add_(ad.scale_(l1, 0.5), ad.scale_(score, -0.5))
 
+    rs, xs = rng.normal(size=(1, 3 * L)), rng.normal(size=(1, 3 * L))
+    zs = NoiseBundle(rng.normal(size=(cfg.noise_channels, 3 * L // cfg.compression)))
+
+    def gen_cascade_s3():
+        tape = Tape()
+        fake = G.generate(tape.tensor(rs, 3), zs)
+        return tape, ad.batch_mean_(ad.abs_mean_(ad.sub_(fake, tape.tensor(xs, 3))))
+
+    def disc_s3():
+        tape = Tape()
+        return tape, ad.batch_mean_(ad.abs_mean_(D.discriminate(tape.tensor(xs, 3),
+                                                                tape.tensor(rs, 3))))
+
     return [
         ("generator_cascade[L=64]", (gen_cascade, G.parameters())),
         ("discriminator[tiny]", (disc, D.parameters())),
         ("generator+discriminator", (end_to_end, G.parameters() + D.parameters())),
+        ("generator_cascade[L=64, S=3]", (gen_cascade_s3, G.parameters())),
+        ("discriminator[tiny, S=3]", (disc_s3, D.parameters())),
     ]
 
 

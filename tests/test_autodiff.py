@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from abas import autodiff as ad
 from abas.autodiff import Parameter, Tape, Tensor
@@ -158,6 +159,19 @@ def at_block_width(width, fn):
         return fn()
 
 
+def im2col(x, k, stride):
+    """The whole (C*k, T) column matrix of every kernel-width window of x (C, L)."""
+    win = sliding_window_view(x, k, axis=1)[:, ::stride]  # (C, T, k)
+    return np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(-1, win.shape[1])
+
+
+def fold(cols, stride, out_len):
+    """The engine's fold of a whole (C, k, T) taps array, as its stride phases."""
+    phases = np.zeros((cols.shape[0], stride, -(-out_len // stride)), cols.dtype)
+    ad._fold_add(phases, cols, stride)
+    return ad._unphase(phases, out_len)
+
+
 def strided_scatter_add(cols, stride, out_len):
     """The adjoint of im2col as one strided add per tap, taps ascending."""
     c, taps, t = cols.shape
@@ -242,6 +256,21 @@ def segment_cases(draw):
     return op, shapes, c_in, n_seg, length, rng
 
 
+def taped_run(op, x, weights, n_seg, g):
+    """op's output on x as n_seg taped segments, the output gradient g (drawn
+    from g when it is an rng) and the gradients w.r.t. x and each weight for
+    the loss <y, g>, through the per-segment mean and the batch mean."""
+    params = [Parameter(f"w{i}", w) for i, w in enumerate(weights)]
+    tape = Tape()
+    xt = tape.tensor(x, n_seg)
+    y = op(xt, *params)
+    if isinstance(g, np.random.Generator):
+        g = g.standard_normal(y.data.shape)
+    loss = ad.scale_(ad.batch_mean_(ad.mean_(ad.mul_(y, Tensor(g, segments=n_seg)))), g.size)
+    tape.backward(loss)
+    return y.data, g, [tape.grad_of(xt)] + [p.grad for p in params]
+
+
 def gated_run(x, weights, pad, gate, g):
     """gated_conv_pair output and its gradients w.r.t. x and all four weights."""
     params = [Parameter(name, w) for name, w in zip(("wf", "bf", "wg", "bg"), weights)]
@@ -281,11 +310,11 @@ class TestIm2colBlocks:
         x = rng.standard_normal((32, 16000), dtype=np.float32)
         xp = ad._reflect(x, 32, 32)
         w = rng.standard_normal((64, 32 * 65), dtype=np.float32)
-        assert np.array_equal(ad._im2col_matmul(w, xp, 65, 1), w @ ad._im2col(xp, 65, 1))
+        assert np.array_equal(ad._im2col_matmul(w, xp, 65, 1), w @ im2col(xp, 65, 1))
         x2 = rng.standard_normal((32, 8000), dtype=np.float32)
         w2 = rng.standard_normal((64, 32, 64), dtype=np.float32)
         y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
-        ref = w2.reshape(64, -1) @ ad._im2col(ad._pad_zero(x2, 31, 31), 64, 2)
+        ref = w2.reshape(64, -1) @ im2col(ad._pad_zero(x2, 31, 31), 64, 2)
         assert np.array_equal(y.data, ref)
 
     @settings(max_examples=200, deadline=None)
@@ -316,6 +345,31 @@ class TestIm2colBlocks:
             assert y.data.ndim == 2 and y.segments == n_seg
             assert np.array_equal(y.data, np.concatenate(per, axis=1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(segment_cases())
+    def test_taped_segments_match_per_segment_tapes(self, case):
+        """A taped segment-major call gives the per-segment tapes' outputs bit
+        for bit, and the sums of their gradients up to rounding, in float64:
+        as the engine runs, and with every GEMM wide and every backward
+        blocked in SMALL_BLOCK columns, so that blocks cross segment edges."""
+        op, shapes, c_in, n_seg, length, rng = case
+        x = rng.standard_normal((c_in, n_seg * length))
+        weights = [rng.standard_normal(shape) for shape in shapes]
+        for wide in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "IM2COL_BLOCK", SMALL_BLOCK)
+                if wide:
+                    mp.setattr(ad, "SMALL_GEMM_MACS", 0)
+                y, g_out, grads = taped_run(op, x, weights, n_seg, rng)
+                per = [taped_run(op, x[:, i * length : (i + 1) * length], weights, 1, g)
+                       for i, g in enumerate(np.split(g_out, n_seg, axis=1))]
+            if not wide:
+                assert np.array_equal(y, np.concatenate([p[0] for p in per], axis=1))
+            want = [np.concatenate([p[2][0] for p in per], axis=1)]
+            want += [sum(p[2][j] for p in per) for j in range(1, len(grads))]
+            for got, ref in zip(grads, want):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_full_size_segments_float32(self, rng):
         # G.enc.down0 at segment 528 (its one-segment GEMM is small, so each
         # segment gets its own) and at 1600 (one wide GEMM), and a decoder
@@ -345,7 +399,7 @@ class TestIm2colBlocks:
         finally:
             tracemalloc.stop()
         taps = w.reshape(64, -1).T @ x
-        assert np.array_equal(y, ad._fold(taps.reshape(32, 66, 8000), 2, 16064)[:, 32:-32])
+        assert np.array_equal(y, fold(taps.reshape(32, 66, 8000), 2, 16064)[:, 32:-32])
         assert peak < taps.nbytes / 3, f"peak {peak} B for {taps.nbytes} B of taps"
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -354,7 +408,7 @@ class TestIm2colBlocks:
         cols = rng.standard_normal((3, taps, 50), dtype=np.float32)
         raw = 49 * stride + taps
         for out_len in (raw, raw + stride - 1):
-            assert np.array_equal(ad._fold(cols, stride, out_len),
+            assert np.array_equal(fold(cols, stride, out_len),
                                   strided_scatter_add(cols, stride, out_len))
 
 
@@ -511,6 +565,50 @@ class TestGatedConvPair:
             tracemalloc.stop()
         assert y.data.shape == x.shape
         assert held < 6 * x.nbytes, f"{held} B held for a {x.nbytes} B input"
+
+
+class TestBlockedBackward:
+    """A taped forward plus backward never holds the whole column matrix of
+    its GEMMs (k times the input): each IM2COL_BLOCK-column block rebuilds its
+    own slice. Every peak stays under a quarter of that matrix, which an
+    unblocked backward would allocate whole. The shapes span 12 to 16 blocks:
+    the last block takes the remainder, up to twice the width."""
+
+    @staticmethod
+    def peak(op, x):
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            tape.backward(ad.batch_mean_(ad.mean_(op(tape.tensor(x)))))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("gate", ["softmax_channel", "sigmoid"])
+    def test_gated_conv_pair(self, rng, gate):
+        # an upsampler gated conv: 32 channels, 12800 columns, k 65
+        x = rng.standard_normal((32, 12800), dtype=np.float32)
+        wf, wg = (Parameter(n, rng.standard_normal((32, 32, 65), dtype=np.float32)) for n in "fg")
+        whole = 32 * 65 * 12800 * 4
+        peak = self.peak(lambda t: ad.gated_conv_pair(t, wf, None, wg, None, 32, gate), x)
+        assert peak < whole / 4, f"peak {peak} B for a {whole} B column matrix"
+
+    def test_tconv1d_last_stage(self, rng):
+        # G.up.stage3.tconv (64 -> 32 channels, k 66, stride 2) on 16384 input
+        # columns; its backward's columns are the im2col of the output gradient
+        x = rng.standard_normal((64, 16384), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((64, 32, 66), dtype=np.float32))
+        whole = 32 * 66 * 16384 * 4
+        peak = self.peak(lambda t: ad.tconv1d(t, w, None, 2, (32, 32)), x)
+        assert peak < whole / 4, f"peak {peak} B for a {whole} B column matrix"
+
+    def test_stride_two_conv1d(self, rng):
+        # G.enc.down1's shape (32 -> 64 channels, k 64, stride 2), zero pad, 8192 outputs
+        x = rng.standard_normal((32, 16384), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((64, 32, 64), dtype=np.float32))
+        whole = 32 * 64 * 8192 * 4
+        peak = self.peak(lambda t: ad.conv1d(t, w, None, 2, (31, 31)), x)
+        assert peak < whole / 4, f"peak {peak} B for a {whole} B column matrix"
 
 
 class TestPointwise:
@@ -673,11 +771,22 @@ class TestSegments:
         lambda x: ad.reflect_pad(x, 1, 1),
         ad.tanh_,
     ], ids=["conv1d", "tconv1d", "gated_conv_pair", "reflect_pad", "tanh_"])
-    def test_taped_op_takes_one_segment(self, op):
+    def test_taped_op_keeps_segments(self, op, rng):
+        # the output carries the segments on the tape, and the input gradient
+        # is the per-segment tapes' gradients side by side
+        x = rng.standard_normal((1, 12))
         tape = Tape()
-        x = Tensor(np.zeros((1, 12)), tape, tape.tensor(np.zeros((1, 12))).node_id, segments=2)
-        with pytest.raises(ValueError, match="taped op takes one segment, got 2"):
-            op(x)
+        xt = tape.tensor(x, 2)
+        y = op(xt)
+        assert (y.tape, y.segments) == (tape, 2)
+        tape.backward(ad.batch_mean_(ad.abs_mean_(y)))
+        per = []
+        for half in np.split(x, 2, axis=1):
+            t = Tape()
+            ht = t.tensor(half)
+            t.backward(ad.abs_mean_(op(ht)))
+            per.append(t.grad_of(ht) / 2)
+        assert np.array_equal(tape.grad_of(xt), np.concatenate(per, axis=1))
 
     def test_segment_counts_must_agree(self):
         tape = Tape()
@@ -687,6 +796,27 @@ class TestSegments:
             ad.concat_channels_(Tensor(np.zeros((1, 12))), Tensor(np.zeros((1, 12)), segments=2))
 
     @pytest.mark.parametrize("reduce", [ad.mean_, ad.abs_mean_])
-    def test_reductions_take_one_segment(self, reduce):
-        with pytest.raises(ValueError, match="reduction takes one segment"):
-            reduce(Tensor(np.zeros((1, 12)), segments=2))
+    def test_reductions_give_one_value_per_segment(self, reduce, rng):
+        x = rng.standard_normal((3, 12))
+        tape = Tape()
+        xt = tape.tensor(x, 3)
+        y = reduce(xt)
+        assert (y.data.shape, y.segments) == ((1, 3), 3)
+        for i, part in enumerate(np.split(x, 3, axis=1)):
+            assert y.data[0, i] == reduce(Tensor(part)).data[0, 0]
+        tape.backward(ad.batch_mean_(y))
+        per = []
+        for part in np.split(x, 3, axis=1):
+            t = Tape()
+            pt = t.tensor(part)
+            t.backward(reduce(pt))
+            per.append(t.grad_of(pt) / 3)
+        np.testing.assert_allclose(tape.grad_of(xt), np.concatenate(per, axis=1), rtol=1e-15)
+
+    def test_batch_mean(self):
+        tape = Tape()
+        v = tape.tensor(np.array([[1.0, 2.0, 6.0]]), 3)
+        loss = ad.batch_mean_(v)
+        tape.backward(loss)
+        assert (loss.item(), loss.segments) == (3.0, 1)
+        np.testing.assert_array_equal(tape.grad_of(v), [[1 / 3, 1 / 3, 1 / 3]])

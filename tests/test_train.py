@@ -1,12 +1,16 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abas import autodiff as ad
-from abas import dsp
+from abas import dsp, model
 from abas import train as T
 from abas.autodiff import Parameter, Tape, Tensor
 from abas.model import (
@@ -336,16 +340,17 @@ class TestTrainStep:
 
         monkeypatch.setattr(D, "discriminate", spy)
         stats = T.train_step(batch, G, D, og, od, cfg, rng)
-        # D-phase real pair: candidate IS the conditioning residual
+        # D-phase real pairs (the first half of its segments): each candidate
+        # IS its conditioning residual
+        n, seg = len(batch), cfg.segment_len
         cand, cond = seen[0]
-        assert np.array_equal(cand, cond)
-        assert np.array_equal(cond, batch[0][1])
+        assert np.array_equal(cand[:, : n * seg], cond[:, : n * seg])
+        assert np.array_equal(cond, np.concatenate([r for _, r in batch] * 2, axis=1))
         # L1 compares the fake against the residual: with G near init the
         # fake is closer to the residual scale than to speech
-        x, r = batch[0]
         assert stats.l1 == pytest.approx(stats.l1, abs=0)  # finite sanity
         fake_like = seen[1][0]
-        assert fake_like.shape == r.shape
+        assert fake_like.shape == (1, n * seg)
 
     def test_speech_mode_real_candidate_is_speech(self, monkeypatch):
         cfg = self._cfg()
@@ -360,9 +365,10 @@ class TestTrainStep:
 
         monkeypatch.setattr(D, "discriminate", spy)
         T.train_step(batch, G, D, og, od, cfg, rng)
+        n, seg = len(batch), cfg.segment_len
         cand, cond = seen[0]
-        assert np.array_equal(cand, batch[0][0])
-        assert np.array_equal(cond, batch[0][1])
+        assert np.array_equal(cand[:, : n * seg], np.concatenate([x for x, _ in batch], axis=1))
+        assert np.array_equal(cond, np.concatenate([r for _, r in batch] * 2, axis=1))
 
     def test_gamma_to_one_l1_descends_monotonically(self):
         # fixed-noise evaluation along the parameter trajectory of the
@@ -403,16 +409,20 @@ class TestTrainStep:
         G.enc_convs[0], D.layers[0] = enc_in, d_in
         stats = T.train_step(batch, G, D, og, od, cfg, rng)
         n, seg = len(batch), cfg.segment_len
-        # the D phase generates every fake in one forward, the G phase one per example
-        assert len(enc_in.seen) == 1 + n and len(d_in.seen) == 3 * n
+        # the D phase generates every fake in one forward and scores reals then
+        # fakes in another; the G phase runs every example in one taped forward
+        assert len(enc_in.seen) == 2 and len(d_in.seen) == 2
         for i, (_, r) in enumerate(batch):
-            for cond in (enc_in.seen[0][:, i * seg : (i + 1) * seg], enc_in.seen[1 + i]):
+            ex = slice(i * seg, (i + 1) * seg)
+            for cond in (enc_in.seen[0][:, ex], enc_in.seen[1][:, ex]):
                 assert np.array_equal(cond, r * scale)
-            real, fake, g_phase = d_in.seen[2 * i], d_in.seen[2 * i + 1], d_in.seen[2 * n + i]
+            real, fake = d_in.seen[0][:, ex], d_in.seen[0][:, n * seg :][:, ex]
+            g_phase = d_in.seen[1][:, ex]
             assert np.array_equal(real[0], r[0])
             assert all(np.array_equal(x[1], r[0] * scale) for x in (real, fake, g_phase))
-        l1 = np.mean([np.mean(np.abs(out.astype(np.float64) - r))
-                      for (_, r), out in zip(batch, g_out[1:])])
+        g_fake = g_out[1][0].astype(np.float64)
+        l1 = np.mean([np.mean(np.abs(g_fake[i * seg : (i + 1) * seg] - r))
+                      for i, (_, r) in enumerate(batch)])
         assert stats.l1 == pytest.approx(l1, rel=1e-5)
 
     def test_d_phase_fakes_equal_per_example_forwards(self, monkeypatch):
@@ -435,8 +445,9 @@ class TestTrainStep:
 
         monkeypatch.setattr(D, "discriminate", spy)
         T.train_step(batch, G, D, og, od, cfg, rng)
-        for i, fake in enumerate(want):
-            assert np.array_equal(seen[2 * i + 1], fake)
+        n, seg = len(batch), cfg.segment_len
+        for i, fake in enumerate(want):  # the D phase's candidates: reals, then fakes
+            assert np.array_equal(seen[0][:, (n + i) * seg : (n + i + 1) * seg], fake)
 
     def test_sn_advances_once_per_phase(self):
         cfg = self._cfg()
@@ -461,6 +472,110 @@ class TestTrainStep:
         with pytest.raises(T.TrainDiverged, match="first bad tensor"):
             with np.errstate(invalid="ignore"):
                 T.train_step(next(batches), G, D, og, od, cfg, rng)
+
+
+def _state(G, D):
+    """Every weight and power-iteration vector of G and D, copied."""
+    weights = {p.name: p.data.copy() for p in G.parameters() + D.parameters()}
+    return weights, {name: st.u.copy() for name, st, _ in G.sn_entries() + D.sn_entries()}
+
+
+def _restore(G, D, state):
+    weights, us = state
+    for p in G.parameters() + D.parameters():
+        p.data[...] = weights[p.name]
+    for name, st, _ in G.sn_entries() + D.sn_entries():
+        st.u = us[name].copy()
+
+
+def _per_example_d_grads(batch, G, D, rng):
+    """The D phase as one S = 1 tape per example: fakes from G.generate, the
+    hinge of the real and the fake score, each loss divided by the batch size."""
+    for p in G.parameters() + D.parameters():
+        p.zero_grad()
+    m = batch[0][0].shape[1] // G.cfg.compression
+    for x, r in batch:
+        fake = G.generate(Tensor(r), NoiseBundle.draw(rng, G.cfg.noise_channels, m)).data
+        tape = Tape()
+        d_real = D.discriminate(tape.tensor(x), tape.tensor(r))
+        d_fake = D.discriminate(tape.tensor(fake), tape.tensor(r))
+        loss = ad.add_(ad.relu_(ad.shift_(ad.scale_(d_real, -1.0), 1.0)),
+                       ad.relu_(ad.shift_(d_fake, 1.0)))
+        tape.backward(ad.scale_(loss, 1.0 / len(batch)))
+    return [p.grad.copy() for p in D.parameters()]
+
+
+def _per_example_g_grads(batch, G, D, rng, gamma):
+    """The G phase as one S = 1 tape per example."""
+    for p in G.parameters() + D.parameters():
+        p.zero_grad()
+    m = batch[0][0].shape[1] // G.cfg.compression
+    for x, r in batch:
+        z = NoiseBundle.draw(rng, G.cfg.noise_channels, m)
+        tape = Tape()
+        cond = tape.tensor(r)
+        fake = G.generate(cond, z)
+        l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(x)))
+        loss = ad.add_(ad.scale_(l1, gamma), ad.scale_(D.discriminate(fake, cond), gamma - 1.0))
+        tape.backward(ad.scale_(loss, 1.0 / len(batch)))
+    return [p.grad.copy() for p in G.parameters()]
+
+
+class TestTrainStepReference:
+    """train_step's batched tapes against one tape per example, at default
+    size in float32: every gradient Adam receives, and the rng stream."""
+
+    # worst error measured, relative to each parameter's largest gradient:
+    # 6.1e-6 in the D phase (D.layer3.weight), 1.0e-6 in the G phase
+    TOL = 3e-5
+
+    @pytest.mark.parametrize("forward_samples,tapes", [(model.FORWARD_SAMPLES, 1), (3200, 2)])
+    def test_gradients_match_per_example_tapes(self, monkeypatch, forward_samples, tapes):
+        # at 3200 samples a forward, the batch of 3 x 1600 runs in two tapes a phase
+        cfg = T.TrainConfig(batch_size=3, segment_len=1600, seed=5,
+                            synthetic={"n_clips": 2, "clip_len": 4800})
+        G, D = T.build_models(cfg)
+        clips = T.load_corpus(cfg)
+        residuals = T.residuals_for(clips, cfg.lpc_order, cfg.frame_len)
+        G.cond_scale = D.cond_scale = T.conditioning_scale(residuals)
+        rng = np.random.default_rng([cfg.seed, 1])
+        batch = next(T.make_batches(clips, residuals, cfg.segment_len, cfg.batch_size, rng,
+                                    cfg.frame_len))
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        monkeypatch.setattr(model, "FORWARD_SAMPLES", forward_samples)
+        seen, backward_calls = [], []
+        adam, backward = T.adam_amsgrad_step, Tape.backward
+
+        def adam_spy(params, *args, **kwargs):
+            seen.append(([p.grad.copy() for p in params], _state(G, D)))
+            return adam(params, *args, **kwargs)
+
+        def backward_spy(tape, loss):
+            backward_calls.append(loss.item())
+            return backward(tape, loss)
+
+        monkeypatch.setattr(T, "adam_amsgrad_step", adam_spy)
+        monkeypatch.setattr(Tape, "backward", backward_spy)
+        T.train_step(batch, G, D, T.AdamState(G.parameters()), T.AdamState(D.parameters()),
+                     cfg, rng)
+        monkeypatch.undo()
+        assert len(backward_calls) == 2 * tapes
+        (d_grads, d_state), (g_grads, g_state) = seen
+        # each reference phase starts from the state its Adam step saw
+        _restore(G, D, d_state)
+        ref_d = _per_example_d_grads(batch, G, D, replay)
+        _restore(G, D, g_state)
+        ref_g = _per_example_g_grads(batch, G, D, replay, cfg.gamma)
+        assert replay.bit_generator.state == rng.bit_generator.state
+        for got, ref, params in ((d_grads, ref_d, D.parameters()),
+                                 (g_grads, ref_g, G.parameters())):
+            for a, b, p in zip(got, ref, params):
+                scale = np.max(np.abs(b))
+                if scale == 0:  # D's last bias: each example's real and fake terms cancel
+                    assert np.max(np.abs(a)) < 1e-8, p.name
+                else:
+                    assert np.max(np.abs(a.astype(np.float64) - b)) <= self.TOL * scale, p.name
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +605,22 @@ class TestCheckpoint:
             synthetic={"n_clips": 1, "clip_len": 2080}, **kw,
         )
         return cfg, T.train_loop(cfg, tmp_path)
+
+    def test_restore_models_leave_gradient_pages_untouched(self):
+        # models built for a restore, as vocoding builds them, allocate every
+        # gradient without writing it: about 1300 minor page faults in a fresh
+        # interpreter, where zero-filled gradients took about 8200
+        code = ("import resource\nfrom abas import train as T\ncfg = T.TrainConfig()\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "T._models(cfg, None)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = str(Path(T.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) < 2000
 
     def test_round_trip_bit_exact(self, tmp_path):
         # file -> restored models -> file again: same tensors, same bytes

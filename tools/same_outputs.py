@@ -1,6 +1,6 @@
 """Check that two source trees of abas produce byte-identical outputs.
 
-    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC [--work DIR] [--ckpt FILE]
 
 Each ``*_SRC`` is a directory holding the ``abas`` package (a checkout's
 ``src``). One fixed CLI scenario runs against each side in turn, under
@@ -23,6 +23,13 @@ echoes its arguments) are the same on both sides:
 - ``cross-synth --order 12``;
 - ``lpc`` with each of its three ``--emit`` kinds;
 - ``inspect-checkpoint``.
+
+With ``--ckpt FILE`` both sides instead vocode that one checkpoint, copied
+into the run directory: ``gen-corpus`` as above, then the four ``vocode``
+steps above (the 5000- and 37000-sample clips, with and without
+``--skip-cross-synth``) and ``inspect-checkpoint``. A change that alters
+training on purpose shows with it that vocoding is unchanged, given a
+checkpoint written by the parent.
 
 Every command's stdout, stderr and exit code are kept as files beside its
 outputs. Every file of one side is then compared byte for byte with the
@@ -47,23 +54,15 @@ GATES = ("softmax", "sigmoid")
 TARGETS = ("speech", "residual")
 TRAIN = ["--batch", "2", "--seg-len", "1600", "--seed", "0"]
 CONFIG_FILE, CONFIG = "order12.json", {"lpc_order": 12}
+GIVEN_CKPT = "given.ckpt"  # where --ckpt FILE is copied in the run dir
 
 
-def scenario() -> list[tuple[str, list[str]]]:
-    """(label, abas arguments) in run order; paths are relative to the run dir."""
-    steps = [("gen_corpus", ["gen-corpus", "--n", "3", "--len", "5000", "--seed", "0",
-                             "--out", "corpus"])]
-    for gate in GATES:
-        for target in TARGETS:
-            steps.append((f"train_{gate}_{target}", [
-                "train", "--corpus", "corpus", "--out", f"train_{gate}_{target}",
-                "--gate", gate, "--target", target, "--steps", "4", "--ckpt-every", "2",
-                *TRAIN]))
-    ckpt = "train_softmax_speech/final.ckpt"
+def vocode_steps(ckpt: str) -> list[tuple[str, list[str]]]:
+    """Vocoding of a 5000- and a 37000-sample clip with ``ckpt``, with and
+    without cross synthesis; the second clip runs in three multi-segment
+    forwards at segment 1600."""
     clip = "corpus/clip_000.wav"
-    steps += [
-        ("resume", ["train", "--corpus", "corpus", "--out", "resume", "--steps", "4",
-                    "--resume", "train_softmax_speech/step_2.ckpt", *TRAIN]),
+    return [
         ("vocode", ["vocode", "--ckpt", ckpt, "--in", clip, "--out", "vocoded.wav",
                     "--seed", "1"]),
         ("vocode_raw", ["vocode", "--ckpt", ckpt, "--in", clip, "--out", "vocoded_raw.wav",
@@ -75,6 +74,29 @@ def scenario() -> list[tuple[str, list[str]]]:
         ("vocode_multi_raw", ["vocode", "--ckpt", ckpt, "--in", "corpus37k/clip_000.wav",
                               "--out", "vocoded_multi_raw.wav", "--seed", "1",
                               "--skip-cross-synth"]),
+    ]
+
+
+def scenario(given: bool = False) -> list[tuple[str, list[str]]]:
+    """(label, abas arguments) in run order; paths are relative to the run dir.
+    With ``given``, only the steps that vocode the checkpoint GIVEN_CKPT."""
+    steps = [("gen_corpus", ["gen-corpus", "--n", "3", "--len", "5000", "--seed", "0",
+                             "--out", "corpus"])]
+    if given:
+        return steps + vocode_steps(GIVEN_CKPT) + [
+            ("inspect", ["inspect-checkpoint", "--ckpt", GIVEN_CKPT])]
+    for gate in GATES:
+        for target in TARGETS:
+            steps.append((f"train_{gate}_{target}", [
+                "train", "--corpus", "corpus", "--out", f"train_{gate}_{target}",
+                "--gate", gate, "--target", target, "--steps", "4", "--ckpt-every", "2",
+                *TRAIN]))
+    ckpt = "train_softmax_speech/final.ckpt"
+    clip = "corpus/clip_000.wav"
+    steps += [
+        ("resume", ["train", "--corpus", "corpus", "--out", "resume", "--steps", "4",
+                    "--resume", "train_softmax_speech/step_2.ckpt", *TRAIN]),
+        *vocode_steps(ckpt),
         ("train_order12", ["train", "--config", CONFIG_FILE, "--corpus", "corpus",
                            "--out", "train_order12", "--steps", "4", *TRAIN]),
         ("vocode_order12", ["vocode", "--ckpt", "train_order12/final.ckpt", "--in", clip,
@@ -96,13 +118,16 @@ def scenario() -> list[tuple[str, list[str]]]:
     return steps
 
 
-def run_side(src: Path, run_dir: Path):
-    """Run the scenario importing abas from ``src``, inside ``run_dir``."""
+def run_side(src: Path, run_dir: Path, ckpt: Path | None = None):
+    """Run the scenario importing abas from ``src``, inside ``run_dir``; with
+    ``ckpt``, the scenario that vocodes that checkpoint."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src.resolve()))
     logs = run_dir / "logs"
     logs.mkdir(parents=True)
     (run_dir / CONFIG_FILE).write_text(json.dumps(CONFIG))
-    for label, args in scenario():
+    if ckpt is not None:
+        shutil.copyfile(ckpt, run_dir / GIVEN_CKPT)
+    for label, args in scenario(ckpt is not None):
         proc = subprocess.run([sys.executable, "-m", "abas.cli", *args], cwd=run_dir,
                               env=env, capture_output=True)
         (logs / f"{label}.stdout").write_bytes(proc.stdout)
@@ -134,15 +159,19 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--work", type=Path, help="scratch directory (default: a new temp dir)")
+    parser.add_argument("--ckpt", type=Path, help="vocode this checkpoint on both sides instead "
+                                                 "of running the whole scenario")
     args = parser.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not (src / "abas" / "__init__.py").is_file():
             parser.error(f"{src} holds no abas package")
+    if args.ckpt is not None and not args.ckpt.is_file():
+        parser.error(f"{args.ckpt} is not a file")
     work = Path(tempfile.mkdtemp(prefix="same_outputs_", dir=args.work))
     run_dir = work / "run"  # both sides run here, so their outputs hold the same paths
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
         print(f"{side}: {src}", flush=True)
-        run_side(src, run_dir)
+        run_side(src, run_dir, args.ckpt)
         run_dir.rename(work / side)
     problems = compare(work / "parent", work / "change")
     n_files = len(files_under(work / "parent"))
