@@ -204,33 +204,38 @@ def _join(a: np.ndarray) -> np.ndarray:
 # array kernels shared by the taped ops and the fused gated conv
 
 
-def _reflect(xd: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Array mirror-padded along its last axis without repeating the edge sample."""
-    length = xd.shape[-1]
+def _pad(xd: np.ndarray, segments: int, left: int, right: int, mode: str = "zero") -> np.ndarray:
+    """Each segment of xd padded with zeros, or with its mirror image without
+    repeating the edge sample (mode "reflect"); xd itself when there is no pad."""
+    if not (left or right):
+        return xd
+    x = _split(xd, segments)
+    length = x.shape[-1]
     if left < 0 or right < 0:
         raise ValueError("pad must be non-negative")
-    if left >= length or right >= length:
+    reflect = mode == "reflect"
+    if reflect and (left >= length or right >= length):
         raise ValueError(f"pad ({left}, {right}) must be smaller than length {length}")
-    y = np.empty(xd.shape[:-1] + (length + left + right,), xd.dtype)
-    y[..., left : left + length] = xd
-    if left:
-        y[..., :left] = xd[..., left:0:-1]
-    if right:
-        stop = length - 2 - right
-        y[..., left + length :] = xd[..., length - 2 : (stop if stop >= 0 else None) : -1]
-    return y
+    y = np.empty(x.shape[:-1] + (left + length + right,), x.dtype)
+    y[..., left : left + length] = x
+    y[..., :left] = x[..., left:0:-1] if reflect else 0
+    y[..., left + length :] = x[..., -2 : -2 - right : -1] if reflect else 0
+    return _join(y)
 
 
-def _reflect_adjoint(g: np.ndarray, left: int, right: int, length: int) -> np.ndarray:
-    """Adjoint of _reflect: fold the mirrored margins of g back onto the source,
-    along the last axis."""
-    gx = g[..., left : left + length].copy()
-    if left:
-        gx[..., 1 : left + 1] += g[..., left - 1 :: -1]
-    if right:
-        stop = length - 2 - right
-        gx[..., length - 2 : (stop if stop >= 0 else None) : -1] += g[..., left + length :]
-    return gx
+def _unpad(gp: np.ndarray, left: int, right: int, mode: str = "zero") -> np.ndarray:
+    """Adjoint of _pad: the gradient (C, S*L) of the segments whose padded
+    gradient is gp (C, S, left + L + right); a mirrored margin adds back onto
+    the samples it copied."""
+    length = gp.shape[-1] - left - right
+    g = gp[..., left : left + length]
+    if mode == "reflect" and (left or right):
+        g = g.copy()
+        if left:
+            g[..., 1 : left + 1] += gp[..., left - 1 :: -1]
+        if right:
+            g[..., -2 : -2 - right : -1] += gp[..., left + length :]
+    return _join(g)
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
@@ -265,32 +270,34 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 #
 # All heavy work routes through GEMMs. conv1d picks one of two lowerings from
 # the shapes alone. In general it multiplies the weights with the (c_in*k, T)
-# im2col matrix of the padded input, built IM2COL_BLOCK output columns at a
-# time in one reused buffer, so the whole matrix (k times the input) never
-# exists. The tape keeps the unpadded input, and backward pads it again and
-# runs in the same column blocks: each block rebuilds its slice of the im2col
-# matrix for the weight gradient, which sums over the blocks
-# (_im2col_wgrad), and the input gradient's GEMM is folded back block by block
-# (_matmul_fold). A stride-1 conv that narrows (c_out < c_in) instead lowers
-# on the output side: one GEMM gives every tap's contribution at every
-# position, a (c_out*k, L) matrix, and a sum along its diagonals gives the
-# output; its backward works, block by block, on the im2col of the (c_out, T)
-# output gradient. That keeps a 64 -> 1 channel conv from copying its input k
-# times. A transposed conv's backward is the im2col lowering of its padded
-# output gradient, blocked alike. Cross-correlation convention throughout: no
-# kernel flip.
+# im2col matrix of the padded input, built one column block at a time in one
+# reused buffer, so the whole matrix (k times the input) never exists. A conv
+# pads inside itself (_pad, zero or reflect) and its tape keeps the
+# unpadded input; backward pads it again and runs in the same column blocks:
+# each block rebuilds its slice of the im2col matrix for the weight gradient,
+# which sums over the blocks (_im2col_wgrad), and the input gradient's GEMM is
+# folded back block by block (_matmul_fold), then through the pad's adjoint
+# (_unpad). A stride-1 conv that narrows (c_out < c_in) instead lowers on the
+# output side: one GEMM gives every tap's contribution at every position, a
+# (c_out*k, L) matrix, and a sum along its diagonals gives the output; its
+# backward works, block by block, on the im2col of the (c_out, T) output
+# gradient. That keeps a 64 -> 1 channel conv from copying its input k times.
+# A transposed conv's backward is the im2col lowering of its padded output
+# gradient, blocked alike. Cross-correlation convention throughout: no kernel
+# flip.
 #
 # On a multi-segment tensor every pad, window, diagonal sum and fold stays
-# inside its segment, and each GEMM runs once over the columns of all
-# segments; the im2col blocks run across segment edges. Each output column is
-# then the same dot product, over the same operands, as in a call on its
-# segment alone, and in float32 it has the same bits: above SMALL_GEMM_MACS,
+# inside its segment, and one rule (_plan) picks each GEMM's columns: blocks
+# that run across segment edges, or, where a one-segment call's GEMM would be
+# small, blocks of each segment on its own. Each output column is then the
+# same dot product, over the same operands, as in a call on its segment
+# alone, and in float32 it has the same bits: above SMALL_GEMM_MACS,
 # OpenBLAS's sgemm sums a column alike wherever it sits in the product. A
 # weight gradient sums over all the columns of all segments, so it is the sum
 # of the per-segment gradients up to rounding.
 
-# Output columns per GEMM of the blocked im2col products. The blocked product
-# is bit-identical to the one-GEMM product only while OpenBLAS takes the same
+# Output columns per GEMM of the blocked products. The blocked product is
+# bit-identical to the one-GEMM product only while OpenBLAS takes the same
 # kernel path for every column: blocks start on multiples of this width (a
 # multiple of the kernels' column grid, 8 or 16), and the last block also
 # takes the remainder, so no block is narrower than the width unless the
@@ -300,8 +307,8 @@ IM2COL_BLOCK = 1024
 
 # OpenBLAS runs a GEMM of at most this many multiply-adds (M*K*N) on its
 # small-matrix kernels, which sum a column in an order that depends on where
-# the column sits. Where a one-segment call's GEMM would be that small, a
-# multi-segment call runs one GEMM per segment instead of one wide GEMM.
+# the column sits. Where a one-segment call's block would be that small,
+# _plan blocks each segment on its own instead of across segments.
 SMALL_GEMM_MACS = 100**3
 
 
@@ -321,25 +328,23 @@ def _unphase(phases: np.ndarray, out_len: int) -> np.ndarray:
     return np.swapaxes(phases, -1, -2).reshape(*phases.shape[:-2], -1)[..., :out_len]
 
 
-def _small(a: np.ndarray, cols: int) -> bool:
-    return a.shape[0] * a.shape[1] * cols <= SMALL_GEMM_MACS
+def _small(macs: int, cols: int) -> bool:
+    return macs * cols <= SMALL_GEMM_MACS
 
 
-def _matmul_segments(a: np.ndarray, b: np.ndarray, segments: int) -> np.ndarray:
-    """a @ b over the segment-major columns of b: one GEMM, or one per segment
-    where a segment's own GEMM would be small (see SMALL_GEMM_MACS)."""
-    if segments > 1 and _small(a, b.shape[1] // segments):
-        return np.concatenate([a @ bs for bs in np.split(b, segments, axis=1)], axis=1)
-    return np.matmul(a, b)
-
-
-def _column_blocks(t_seg: int, segments: int) -> list:
-    """IM2COL_BLOCK-wide blocks (t0, t1, pieces) of segments * t_seg
-    segment-major columns, the last block taking the remainder. A piece
-    (s0, s1, a, b) is columns a .. b of each of segments s0 .. s1 - 1, side by
-    side in the block: a part of one segment, or a run of whole segments."""
+def _column_blocks(t_seg: int, segments: int, width: int | None = None,
+                   own: bool = False) -> list:
+    """Blocks (t0, t1, pieces) of segments * t_seg segment-major columns,
+    width (IM2COL_BLOCK) wide, the last taking the remainder; with own, the
+    columns of each segment are blocked on their own. A piece (s0, s1, a, b)
+    is columns a .. b of each of segments s0 .. s1 - 1, side by side in the
+    block: a part of one segment, or a run of whole segments."""
+    width = width or IM2COL_BLOCK
+    if own:
+        return [(s * t_seg + a, s * t_seg + b, [(s, s + 1, a, b)])
+                for s in range(segments) for a, b, _ in _column_blocks(t_seg, 1, width)]
     total = segments * t_seg
-    edges = [i * IM2COL_BLOCK for i in range(max(1, total // IM2COL_BLOCK))] + [total]
+    edges = [i * width for i in range(max(1, total // width))] + [total]
     blocks = []
     for t0, t1 in zip(edges, edges[1:]):
         (s0, a), (s1, b) = divmod(t0, t_seg), divmod(t1, t_seg)
@@ -352,6 +357,15 @@ def _column_blocks(t_seg: int, segments: int) -> list:
             pieces += [(s1, s1 + 1, 0, b)] if b else []
         blocks.append((t0, t1, pieces))
     return blocks
+
+
+def _plan(macs: int, t_seg: int, segments: int, width: int | None = None) -> list:
+    """The _column_blocks of a GEMM of macs multiply-adds a column over
+    segments * t_seg columns, width (IM2COL_BLOCK) wide: across segments, or
+    each segment on its own where a one-segment call's first block would be
+    small (see SMALL_GEMM_MACS), so that each column sums as in that call."""
+    width = width or IM2COL_BLOCK
+    return _column_blocks(t_seg, segments, width, _small(macs, min(t_seg, width)))
 
 
 def _piece(block: np.ndarray, t_seg: int, t0: int, piece) -> np.ndarray:
@@ -384,15 +398,12 @@ def _im2col_blocks(win: np.ndarray, blocks: list):
 
 def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int,
                    segments: int = 1) -> np.ndarray:
-    """w_mat @ the im2col matrices of the segments of xp side by side, built
-    IM2COL_BLOCK output columns at a time (_im2col_blocks)."""
+    """w_mat @ the im2col matrices of the segments of xp side by side, one
+    GEMM per block of _plan, each block's columns built by _im2col_blocks."""
     win = _windows(xp, k, stride, segments)
     t_seg = win.shape[2]
-    if segments > 1 and _small(w_mat, min(t_seg, IM2COL_BLOCK)):  # a one-segment block
-        return np.concatenate([_im2col_matmul(w_mat, xs, k, stride)
-                               for xs in np.split(xp, segments, axis=1)], axis=1)
     y = np.empty((w_mat.shape[0], segments * t_seg), np.result_type(w_mat, xp))
-    for t0, t1, cols in _im2col_blocks(win, _column_blocks(t_seg, segments)):
+    for t0, t1, cols in _im2col_blocks(win, _plan(w_mat.size, t_seg, segments)):
         np.matmul(w_mat, cols, out=y[:, t0:t1])
     return y
 
@@ -401,24 +412,21 @@ def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int,
                   segments: int = 1, w_mat: np.ndarray | None = None):
     """(gw, y): gw is a @ the transposed im2col matrices of the segments of xp
     side by side, a weight gradient: one GEMM per IM2COL_BLOCK columns
-    (_im2col_blocks), summed block after block, or one GEMM over every column
-    where a block-wide one would be small (see SMALL_GEMM_MACS), so the
-    matrix has under 1000 rows.
+    (_im2col_blocks) across segments, summed block after block, or one GEMM
+    over every column where a block-wide one would be small (see
+    SMALL_GEMM_MACS), so the matrix has under 1000 rows.
 
-    y is None, or given w_mat, shaped like gw, _im2col_matmul(w_mat, xp, ...)
-    from the same blocks where both products run blocked: the input gradient
-    of a transposed or narrowing conv, which needs the same matrix."""
+    y is None, or given w_mat, _im2col_matmul(w_mat, xp, ...): the input
+    gradient of a transposed or narrowing conv, which needs the same matrix.
+    It runs in the same loop where its plan has the same blocks."""
     win = _windows(xp, k, stride, segments)
-    t_seg = win.shape[2]
-    small = a.shape[0] * win.shape[0] * k * IM2COL_BLOCK <= SMALL_GEMM_MACS
-    if w_mat is not None and (small or segments > 1 and _small(w_mat, t_seg)):
+    c, _, t_seg, _ = win.shape
+    whole = _small(a.shape[0] * c * k, IM2COL_BLOCK)
+    blocks = _column_blocks(t_seg, segments, segments * t_seg if whole else None)
+    if w_mat is not None and _plan(w_mat.size, t_seg, segments) != blocks:
         return (_im2col_wgrad(a, xp, k, stride, segments)[0],
                 _im2col_matmul(w_mat, xp, k, stride, segments))
-    if small:
-        blocks = [(0, segments * t_seg, [(0, segments, 0, t_seg)])]
-    else:
-        blocks = _column_blocks(t_seg, segments)
-    gw = np.zeros((a.shape[0], win.shape[0] * k), np.result_type(a, xp))
+    gw = np.zeros((a.shape[0], c * k), np.result_type(a, xp))
     y = None if w_mat is None else np.empty((w_mat.shape[0], segments * t_seg), gw.dtype)
     for t0, t1, cols in _im2col_blocks(win, blocks):
         gw += np.matmul(a[:, t0:t1], cols.T)
@@ -432,18 +440,15 @@ def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: 
     """w_t @ xd, (C*k, S*L) taps, folded with stride into (C, S, out_len): tap j
     of input column t adds to output t*stride + j of its segment. That is a
     transposed conv's raw output, or a conv's input gradient (the adjoint of
-    im2col). The GEMM runs IM2COL_BLOCK input columns at a time, so the taps
-    of a whole 1 s signal never exist at once, except where a block that wide
-    would be small (see SMALL_GEMM_MACS): there a segment gets one GEMM.
-    Blocks run last first: an output adds its taps in ascending order, and
-    later inputs hold its lower taps, so every output sums in the order of
-    one strided scatter-add of the whole product, tap after tap."""
+    im2col). The GEMM runs one block of _plan at a time, so the taps of a
+    whole 1 s signal never exist at once; where an IM2COL_BLOCK-wide block
+    would be small, the plan's blocks are whole segments. Blocks run last
+    first: an output adds its taps in ascending order, and later inputs hold
+    its lower taps, so every output sums in the order of one strided
+    scatter-add of the whole product, tap after tap."""
     t_seg = xd.shape[1] // segments
-    if segments > 1 and _small(w_t, min(t_seg, IM2COL_BLOCK)):
-        return np.concatenate([_matmul_fold(w_t, xs, k, stride, out_len)
-                               for xs in np.split(xd, segments, axis=1)], axis=1)
-    whole = _small(w_t, IM2COL_BLOCK)  # one segment here
-    blocks = [(0, t_seg, [(0, 1, 0, t_seg)])] if whole else _column_blocks(t_seg, segments)
+    whole = _small(w_t.size, IM2COL_BLOCK)
+    blocks = _plan(w_t.size, t_seg, segments, t_seg if whole else None)
     c = w_t.shape[0] // k
     dtype = np.result_type(w_t, xd)
     phases = np.zeros((c, segments, stride, -(-out_len // stride)), dtype)
@@ -456,19 +461,6 @@ def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: 
             _fold_add(phases[:, s0:s1], _piece(buf, t_seg, t0, piece), stride, a)
     del buf, cols  # before _unphase copies the phases
     return _unphase(phases, out_len)
-
-
-def _pad_zero(x: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Array zero-padded along its last axis."""
-    length = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + (length + left + right,), x.dtype)
-    out[..., left : left + length] = x
-    return out
-
-
-def _pad_segments(xd: np.ndarray, segments: int, left: int, right: int) -> np.ndarray:
-    """Each segment of xd zero-padded; xd itself when there is no pad."""
-    return _join(_pad_zero(_split(xd, segments), left, right)) if (left or right) else xd
 
 
 def conv1d(
@@ -492,9 +484,6 @@ def conv1d(
     """
     if pad_mode not in ("zero", "reflect"):
         raise ValueError(f"unknown pad_mode {pad_mode!r}")
-    if pad_mode == "reflect" and (pad[0] or pad[1]):
-        x = reflect_pad(x, pad[0], pad[1])
-        pad = (0, 0)
     tape = x.tape
     x_id = x.node_id
     w_id, w_data = _lift(tape, weight)
@@ -508,13 +497,17 @@ def conv1d(
     lp = length + pl + pr
     if lp < k:
         raise ValueError(f"padded length {lp} < kernel width {k}")
-    xp = _pad_segments(xd, n_seg, pl, pr)
+    xp = _pad(xd, n_seg, pl, pr, pad_mode)
     narrowing = stride == 1 and c_out < c_in
     if narrowing:
         # taps[o, j, s] = sum_c w[o, c, j] * xp[c, s]; y[o, t] = sum_j taps[o, j, t + j]
-        # within each segment
+        # within each segment; the diagonal sums cross any block edge inside a
+        # segment, so the plan's blocks are whole segments, or all of them at once
         t_out = lp - k + 1
-        taps = _matmul_segments(w_data.transpose(0, 2, 1).reshape(c_out * k, c_in), xp, n_seg)
+        w_taps = w_data.transpose(0, 2, 1).reshape(c_out * k, c_in)
+        taps = np.empty((c_out * k, n_seg * lp), np.result_type(w_taps, xp))
+        for t0, t1, _ in _plan(w_taps.size, lp, n_seg, n_seg * lp):
+            np.matmul(w_taps, xp[:, t0:t1], out=taps[:, t0:t1])
         taps = taps.reshape(c_out, k, n_seg, lp)
         y = taps[:, 0, :, :t_out].copy()
         for j in range(1, k):
@@ -531,20 +524,20 @@ def conv1d(
         if narrowing:
             # gcols[o*k + m, s] = g[o, s + m - (k - 1)] within each segment, zero outside g
             w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            gw_rev, gx = _im2col_wgrad(_pad_segments(xd, n_seg, pl, pr),
-                                       _pad_segments(g, n_seg, k - 1, k - 1), k, 1, n_seg, w_rev)
+            gw_rev, gx = _im2col_wgrad(_pad(xd, n_seg, pl, pr, pad_mode),
+                                       _pad(g, n_seg, k - 1, k - 1), k, 1, n_seg, w_rev)
             if w_id >= 0:
                 gw_rev = gw_rev.reshape(c_in, c_out, k)
                 out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
             gx = _split(gx, n_seg)
         else:
             if w_id >= 0:
-                gw, _ = _im2col_wgrad(g, _pad_segments(xd, n_seg, pl, pr), k, stride, n_seg)
+                gw, _ = _im2col_wgrad(g, _pad(xd, n_seg, pl, pr, pad_mode), k, stride, n_seg)
                 out.append((w_id, gw.reshape(w_data.shape)))
             gx = _matmul_fold(w_mat.T, g, k, stride, lp, n_seg)
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
-        out.append((x_id, _join(gx[..., pl : lp - pr])))
+        out.append((x_id, _unpad(gx, pl, pr, pad_mode)))
         return out
 
     return _emit(tape, "conv1d", y, bwd, n_seg)
@@ -578,7 +571,7 @@ def tconv1d(
 
     def bwd(g):
         # the im2col lowering of the raw output gradient, (c_out*k, length) a segment
-        gw, gx = _im2col_wgrad(xd, _pad_segments(g, n_seg, cl, cr), k, stride, n_seg, w_mat)
+        gw, gx = _im2col_wgrad(xd, _pad(g, n_seg, cl, cr), k, stride, n_seg, w_mat)
         out = [(x_id, gx)]
         if w_id >= 0:
             out.append((w_id, gw.reshape(w_data.shape)))
@@ -632,12 +625,9 @@ def gated_conv_pair(
     if gate_kind not in ("softmax_channel", "sigmoid"):
         raise ValueError(f"unknown gate kind {gate_kind!r}")
 
-    def padded():
-        return _join(_reflect(_split(xd, n_seg), pad, pad))
-
     ck = c_in * k
     w_stack = np.concatenate([wf.reshape(c_out, ck), wg.reshape(c_out, ck)])
-    y_stack = _im2col_matmul(w_stack, padded(), k, 1, n_seg)
+    y_stack = _im2col_matmul(w_stack, _pad(xd, n_seg, pad, pad, "reflect"), k, 1, n_seg)
     yf, yg = y_stack[:c_out], y_stack[c_out:]
     if bf is not None:
         yf += bf.reshape(-1, 1)
@@ -664,7 +654,7 @@ def gated_conv_pair(
         del gate, d_yf, d_gate, d_yg  # not alive beside the blocks' column buffer
         out = []
         if wf_id >= 0 or wg_id >= 0:
-            gw_stack, _ = _im2col_wgrad(d_stack, padded(), k, 1, n_seg)
+            gw_stack, _ = _im2col_wgrad(d_stack, _pad(xd, n_seg, pad, pad, "reflect"), k, 1, n_seg)
             if wf_id >= 0:
                 out.append((wf_id, gw_stack[:c_out].reshape(wf.shape)))
             if wg_id >= 0:
@@ -674,7 +664,7 @@ def gated_conv_pair(
         if bg_id >= 0:
             out.append((bg_id, d_stack[c_out:].sum(axis=1)))
         gxp = _matmul_fold(w_stack.T, d_stack, k, 1, length + 2 * pad, n_seg)
-        out.append((x_id, _join(_reflect_adjoint(gxp, pad, pad, length))))
+        out.append((x_id, _unpad(gxp, pad, pad, "reflect")))
         return out
 
     return _emit(tape, "gated_conv_pair", y, bwd, n_seg)
@@ -682,14 +672,11 @@ def gated_conv_pair(
 
 def reflect_pad(x: Tensor, left: int, right: int) -> Tensor:
     """Mirror padding of each segment without repeating the edge sample."""
-    length, n_seg = x.length, x.segments
-    y = _join(_reflect(_split(x.data, n_seg), left, right))
+    n_seg = x.segments
+    y = _pad(x.data, n_seg, left, right, "reflect")
     x_id = x.node_id
-    return _emit(
-        x.tape, "reflect_pad", y,
-        lambda g: [(x_id, _join(_reflect_adjoint(_split(g, n_seg), left, right, length)))],
-        n_seg,
-    )
+    return _emit(x.tape, "reflect_pad", y,
+                 lambda g: [(x_id, _unpad(_split(g, n_seg), left, right, "reflect"))], n_seg)
 
 
 def channel_softmax(x: Tensor) -> Tensor:

@@ -39,7 +39,15 @@ def _echo(command: str, resolved: dict):
 # commands
 
 
+def _at_least_1(*flags: tuple[str, int]):
+    """Reject a count or size flag below 1, naming it."""
+    for flag, value in flags:
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_gen_corpus(args) -> int:
+    _at_least_1(("--n", args.n), ("--len", args.len))
     _echo("gen-corpus", {"n": args.n, "len": args.len, "seed": args.seed, "out": args.out})
     paths = gen_synthetic_corpus(args.n, args.len, args.seed, args.out)
     print(f"wrote {len(paths)} clips to {args.out}")
@@ -128,6 +136,7 @@ def cmd_cross_synth(args) -> int:
 
 
 def cmd_lpc(args) -> int:
+    _at_least_1(("--frame-ms", args.frame_ms))
     _echo("lpc", {"in": getattr(args, "in"), "order": args.order,
                   "frame_ms": args.frame_ms, "emit": args.emit, "out": args.out})
     signal = read_wav(getattr(args, "in"))

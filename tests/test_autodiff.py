@@ -101,20 +101,40 @@ class TestConv1d:
         assert peak < 4 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
 
     def test_narrowing_taped_memory(self, rng):
-        # zero pad: a reflect pad adds the reflect_pad op's own padded output
-        # and its adjoint, two more input-sized arrays that are not the conv's
+        # G.out at a training segment, reflect-padded as in the generator
         x = rng.standard_normal((64, 1600), dtype=np.float32)
         w = Parameter("w", rng.standard_normal((1, 64, 65), dtype=np.float32))
         tracemalloc.start()
         try:
             tape = Tape()
             xt = tape.tensor(x)
-            tape.backward(ad.abs_mean_(ad.conv1d(xt, w, pad=(32, 32))))
+            tape.backward(ad.abs_mean_(ad.conv1d(xt, w, pad=(32, 32), pad_mode="reflect")))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert tape.grad_of(xt).shape == x.shape
         assert peak < 4 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+    @pytest.mark.parametrize("c_in, c_out, k, stride, pad", [(64, 1, 65, 1, 32), (32, 64, 64, 2, 31)],
+                             ids=["G.out", "G.enc.down1"])
+    def test_taped_reflect_pad_keeps_no_padded_copy(self, rng, c_in, c_out, k, stride, pad):
+        # a reflect pad is part of the conv's one tape record, which keeps the
+        # unpadded input as a zero pad's does, so after the forward the tape
+        # holds no more than with a zero pad: the output, no padded copy
+        x = rng.standard_normal((c_in, 1600), dtype=np.float32)
+        w = Parameter("w", rng.standard_normal((c_out, c_in, k), dtype=np.float32))
+        held, records = {}, {}
+        for mode in ("zero", "reflect"):
+            tracemalloc.start()
+            try:
+                tape = Tape()
+                ad.conv1d(tape.tensor(x), w, stride=stride, pad=(pad, pad), pad_mode=mode)
+                held[mode] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            records[mode] = len(tape._records)
+        assert held["reflect"] < held["zero"] + 0.1 * x.nbytes, f"{held} B held, {x.nbytes} B input"
+        assert records == {"zero": 1, "reflect": 1}
 
 
 class TestConv1dProperties:
@@ -308,13 +328,13 @@ class TestIm2colBlocks:
         # filter and gate stacked) and G.enc.down1 (stride 2), at this
         # process's BLAS thread count
         x = rng.standard_normal((32, 16000), dtype=np.float32)
-        xp = ad._reflect(x, 32, 32)
+        xp = np.pad(x, ((0, 0), (32, 32)), mode="reflect")
         w = rng.standard_normal((64, 32 * 65), dtype=np.float32)
         assert np.array_equal(ad._im2col_matmul(w, xp, 65, 1), w @ im2col(xp, 65, 1))
         x2 = rng.standard_normal((32, 8000), dtype=np.float32)
         w2 = rng.standard_normal((64, 32, 64), dtype=np.float32)
         y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
-        ref = w2.reshape(64, -1) @ im2col(ad._pad_zero(x2, 31, 31), 64, 2)
+        ref = w2.reshape(64, -1) @ im2col(np.pad(x2, ((0, 0), (31, 31))), 64, 2)
         assert np.array_equal(y.data, ref)
 
     @settings(max_examples=200, deadline=None)
@@ -552,7 +572,7 @@ class TestGatedConvPair:
 
     @pytest.mark.parametrize("gate", ["softmax_channel", "sigmoid"])
     def test_taped_forward_keeps_no_column_matrix(self, rng, gate):
-        # the tape keeps the padded input, the output and the activations the
+        # the tape keeps the unpadded input, the output and the activations the
         # backward pass reads: a few input-sized arrays, not 65 of them
         x = rng.standard_normal((32, 16000), dtype=np.float32)
         w = Parameter("w", rng.standard_normal((32, 32, 65), dtype=np.float32))

@@ -45,6 +45,15 @@ class TestGenCorpus:
         b = (tmp_path / "b" / "clip_000.wav").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-1"), ("--len", "0")])
+    def test_count_below_one_exits_3(self, tmp_path, capsys, flag, value):
+        args = {"--n": "2", "--len": "4000", flag: value}
+        out = tmp_path / "c"
+        rc = cli.main(["gen-corpus", *(a for kv in args.items() for a in kv), "--out", str(out)])
+        assert rc == 3
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLpc:
     def test_resynth_round_trip(self, corpus_dir, tmp_path):
@@ -76,6 +85,15 @@ class TestLpc:
                        "--out", str(out)])
         assert rc == 3
         assert "LPC order must be in 1..319, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frame_ms_zero_exits_3(self, corpus_dir, tmp_path, capsys):
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        out = tmp_path / "residual.wav"
+        rc = cli.main(["lpc", "--in", str(src), "--frame-ms", "0", "--emit", "residual",
+                       "--out", str(out)])
+        assert rc == 3
+        assert "--frame-ms must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
 

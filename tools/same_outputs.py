@@ -20,6 +20,11 @@ echoes its arguments) are the same on both sides:
 - ``gen-corpus`` (1 clip of 16000 samples), ``train`` on it at segment
   16000 (batch 1, 1 step), and ``vocode`` of that clip with that checkpoint,
   so every upsampler stage runs several im2col blocks;
+- ``train`` at segment 528 (batch 3, 2 steps), and ``vocode`` of the
+  37000-sample clip with that checkpoint: at this segment ``G.enc.down0``'s
+  and ``G.enc.compress``'s GEMMs are small enough that each segment gets its
+  own blocks when vocoding too, so a wrong block plan shows (at 1600 and
+  16000 only the 1-tap ``G.dec.expand`` does, whose products are exact);
 - ``cross-synth --order 12``;
 - ``lpc`` with each of its three ``--emit`` kinds;
 - ``inspect-checkpoint``.
@@ -108,6 +113,11 @@ def scenario(given: bool = False) -> list[tuple[str, list[str]]]:
         ("vocode_seg16000", ["vocode", "--ckpt", "train_seg16000/final.ckpt",
                              "--in", "corpus16k/clip_000.wav", "--out", "vocoded_seg16000.wav",
                              "--seed", "1"]),
+        ("train_seg528", ["train", "--corpus", "corpus", "--out", "train_seg528",
+                          "--steps", "2", "--batch", "3", "--seg-len", "528", "--seed", "0"]),
+        ("vocode_seg528", ["vocode", "--ckpt", "train_seg528/final.ckpt",
+                           "--in", "corpus37k/clip_000.wav", "--out", "vocoded_seg528.wav",
+                           "--seed", "1"]),
         ("cross_synth", ["cross-synth", "--carrier", "corpus/clip_001.wav",
                          "--envelope", clip, "--order", "12", "--out", "cross.wav"]),
         *((f"lpc_{emit}", ["lpc", "--in", clip, "--emit", emit,
