@@ -8,6 +8,8 @@ maps; Parameters may hold any shape (conv weights are 3-D, biases 1-D).
 Running ops on tape-less Tensors (``Tensor(data)``) skips recording entirely,
 which is the inference / frozen-forward mode. Non-finite values are located
 after the fact: ``Tape.first_nonfinite`` names the earliest op that made one.
+``Tape.outputs`` lists every op's name and output in forward order, so the
+feature maps of a forward are read off its tape.
 
 A Tensor may hold several signals of equal length side by side on its time
 axis, segment-major: ``Tensor(data, segments=S)`` (or ``tape.tensor(data, S)``)
@@ -123,6 +125,10 @@ class Tape:
         t = self._new_node(out_data)
         self._records.append((name, t.node_id, t.data, backward_fn))
         return t
+
+    def outputs(self) -> list[tuple[str, np.ndarray]]:
+        """Each recorded op's name and output array, in forward order."""
+        return [(name, out) for name, _id, out, _fn in self._records]
 
     def backward(self, loss: Tensor):
         if loss.tape is not self:

@@ -189,7 +189,7 @@ def cmd_inspect_checkpoint(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     G, D = restore_models(ckpt)  # validates every tensor name and shape
     params = G.parameters() + D.parameters()
-    n_sn = len(G.sn_entries() + D.sn_entries())
+    n_sn = len(G.convs() + D.convs())
     _echo("inspect-checkpoint", {"ckpt": args.ckpt})
     print(f"version: {CKPT_VERSION}")
     print(f"step: {ckpt.step}")

@@ -17,14 +17,16 @@ it by their own ``cond_scale`` where it enters: G before its encoder, D before
 the concat. Training sets it to ``train.conditioning_scale`` (1 / RMS of the
 training corpus's residuals), the checkpoint stores it, and ``restore_into``
 sets it again, so no caller scales the residual. At its natural RMS of about
-0.02 the residual would fade through the spectrally normalised layers, each of
-gain <= 1, and the output would ignore it.
+0.02 the residual would enter layers scaled for unit-scale inputs, and the
+output would ignore it. (Spectral norm bounds each weight matricised to
+(out, in * k), not the conv operator, whose gain measured up to 1.82 at init.)
 
 Everything is fully convolutional: any input length that is a multiple of the
 compression factor and at least ``min_input_length`` works. A forward, taped
 or not, also takes several segments of one length side by side (see
 ``autodiff``): ``generate_segments`` and the training step run their segments
-that way, and ``discriminate`` gives one score per segment.
+that way, and ``discriminate`` gives one score per segment. A taped forward's
+feature maps are its tape's ``outputs()``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .nn import (
     PRELU_INIT,
     Conv1d,
     GatedConvLayer,
-    SpectralNormState,
     TConv1d,
 )
 
@@ -143,7 +144,7 @@ class NoiseBundle:
 class _Layered:
     """A model whose state comes from one ordered list, ``self.layers``, of conv
     layers and bare Parameters (PReLU slopes, without spectral norm). Parameter
-    order, spectral-norm order and so the checkpoint layout follow the list.
+    order, ``convs()`` order and so the checkpoint layout follow the list.
     Every layer the forward pass uses must appear in ``self.layers``: one left
     out would train without being saved or having its spectral norm advanced.
     Built with ``rng=None``, the conv layers hold zeros for a restore to
@@ -152,15 +153,16 @@ class _Layered:
     layers: list
     cond_scale: float = 1.0  # the residual's gain on entry, see the module docstring
 
-    def _normed_layers(self) -> list:
-        return [layer for layer in self.layers if not isinstance(layer, Parameter)]
+    def convs(self) -> list:
+        """Every spectrally normalised conv in checkpoint order, each gated
+        layer as its filter then its gate."""
+        return [conv for layer in self.layers if not isinstance(layer, Parameter)
+                for conv in ((layer.filter, layer.gate) if isinstance(layer, GatedConvLayer)
+                             else (layer,))]
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers
                 for p in ([layer] if isinstance(layer, Parameter) else layer.parameters())]
-
-    def sn_entries(self) -> list[tuple[str, SpectralNormState, bool]]:
-        return [entry for layer in self._normed_layers() for entry in layer.sn_entries()]
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -220,7 +222,7 @@ class Generator(_Layered):
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode_residual(self, x: Tensor, trace: list | None = None) -> Tensor:
+    def encode_residual(self, x: Tensor) -> Tensor:
         if x.channels != 1:
             raise ValueError(f"expected 1 input channel, got {x.channels}")
         if x.length % self.cfg.compression:
@@ -232,12 +234,7 @@ class Generator(_Layered):
         h = ad.scale_(x, self.cond_scale)
         for conv, slope in zip(self.enc_convs, self.enc_slopes):
             h = ad.prelu_(conv(h), slope)
-            if trace is not None:
-                trace.append(h.data.shape)
-        h = self.compressor(h)
-        if trace is not None:
-            trace.append(h.data.shape)
-        return h
+        return self.compressor(h)
 
     def decode_context(self, context: Tensor) -> Tensor:
         h = self.dec_expand(context)
@@ -245,9 +242,7 @@ class Generator(_Layered):
             h = layer(h)
         return h
 
-    def upsample_adversarial(
-        self, hidden: Tensor, noise: NoiseBundle, trace: list | None = None
-    ) -> Tensor:
+    def upsample_adversarial(self, hidden: Tensor, noise: NoiseBundle) -> Tensor:
         cfg = self.cfg
         want = (cfg.noise_channels, hidden.data.shape[1])
         if noise.base.shape != want:
@@ -260,8 +255,6 @@ class Generator(_Layered):
             sig = gated(tconv(sig))
             n = ntconv(n)
             sig = ad.concat_channels_(sig, n)
-            if trace is not None:
-                trace.append(sig.data.shape)
         return ad.tanh_(self.out_conv(sig))
 
     def generate(self, residual: Tensor, noise: NoiseBundle) -> Tensor:
@@ -292,8 +285,8 @@ class Generator(_Layered):
         return out[:n]
 
     def advance_spectral_norm(self):
-        for layer in self._normed_layers():
-            layer.advance_spectral_norm()
+        for conv in self.convs():
+            conv.advance_spectral_norm()
 
 
 class Discriminator(_Layered):
@@ -312,9 +305,7 @@ class Discriminator(_Layered):
             )
             prev = ch
 
-    def discriminate(
-        self, candidate: Tensor, residual: Tensor, trace: list | None = None
-    ) -> Tensor:
+    def discriminate(self, candidate: Tensor, residual: Tensor) -> Tensor:
         if candidate.length != residual.length:
             raise ValueError(
                 f"length mismatch: candidate {candidate.length}, residual {residual.length}"
@@ -325,10 +316,8 @@ class Discriminator(_Layered):
             x = conv(x)
             if i < last:
                 x = ad.leaky_relu_(x, self.cfg.leaky_slope)
-            if trace is not None:
-                trace.append(x.data.shape)
         return ad.mean_(x)
 
     def advance_spectral_norm(self):
-        for layer in self._normed_layers():
-            layer.advance_spectral_norm()
+        for conv in self.convs():
+            conv.advance_spectral_norm()

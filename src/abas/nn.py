@@ -122,9 +122,6 @@ class _NormedConv:
     def parameters(self):
         return [self.weight, self.bias]
 
-    def sn_entries(self):
-        return [(self.weight.name, self.sn, self.transpose_in_out)]
-
 
 class Conv1d(_NormedConv):
     """Spectrally normalized conv layer; weight shaped (out_channels, in_channels, k)."""
@@ -212,12 +209,5 @@ class GatedConvLayer:
             self.gate.normalized_weight(x.tape), self.gate.bias, self.filter.pad[0], self.gate_kind,
         )
 
-    def advance_spectral_norm(self):
-        self.filter.advance_spectral_norm()
-        self.gate.advance_spectral_norm()
-
     def parameters(self):
         return self.filter.parameters() + self.gate.parameters()
-
-    def sn_entries(self):
-        return self.filter.sn_entries() + self.gate.sn_entries()

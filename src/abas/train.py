@@ -302,8 +302,8 @@ def conditioning_scale(residuals: list[np.ndarray]) -> float:
 
     G and D multiply the conditioning residual by this one constant where it
     enters them, in training and in vocoding, so it reaches the
-    spectrally normalised layers (gain <= 1 each) at unit scale instead of
-    its natural RMS of about 0.02. One constant, not a per-segment
+    spectrally normalised layers at unit scale instead of its natural RMS of
+    about 0.02. One constant, not a per-segment
     normalisation, so the residual's loudness still reaches the networks.
     """
     total = sum(float(np.sum(np.square(r, dtype=np.float64))) for r in residuals)
@@ -554,7 +554,7 @@ def state_tensors(G: Generator, D: Discriminator,
             else:
                 moments = [opt.m[p.name], opt.v[p.name], opt.vmax[p.name]]
             tensors.update((p.name + sfx, a) for sfx, a in zip(MOMENT_SUFFIXES, moments))
-    tensors.update((name + ".sn_u", state.u) for name, state, _ in G.sn_entries() + D.sn_entries())
+    tensors.update((conv.weight.name + ".sn_u", conv.sn.u) for conv in G.convs() + D.convs())
     return tensors
 
 
@@ -663,6 +663,16 @@ def load_checkpoint(path) -> Checkpoint:
     if type(cond_scale) not in (int, float) or not 0.0 < cond_scale < math.inf:
         raise CheckpointError(f"checkpoint metadata 'cond_scale' must be a positive "
                               f"finite number, got {cond_scale!r}")
+    adam_t = blob["adam_t"]
+    if (type(adam_t) is not dict or sorted(adam_t) != ["d", "g"]
+            or any(type(t) is not int or t < 0 for t in adam_t.values())):
+        raise CheckpointError(f"checkpoint metadata 'adam_t' must map 'g' and 'd' to "
+                              f"non-negative integers, got {adam_t!r}")
+    try:
+        np.random.PCG64().state = blob["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"checkpoint metadata 'rng_state' is not a PCG64 state: "
+                              f"{e!r}") from None
     config = TrainConfig.from_dict(blob["config"])
     n_tensors = r.uint("I")
     tensors = {}
@@ -675,7 +685,7 @@ def load_checkpoint(path) -> Checkpoint:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         tensors[name] = r.floats(count).reshape(shape)
     step = r.uint("Q")
-    return Checkpoint(config, tensors, blob["rng_state"], step, blob["adam_t"], float(cond_scale))
+    return Checkpoint(config, tensors, blob["rng_state"], step, adam_t, float(cond_scale))
 
 
 def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
@@ -707,4 +717,4 @@ def restore_into(ckpt: Checkpoint, G: Generator, D: Discriminator,
     G.cond_scale = D.cond_scale = ckpt.cond_scale
     for opt, key in ((opt_g, "g"), (opt_d, "d")):
         if opt is not None:
-            opt.t = int(ckpt.adam_t[key])
+            opt.t = ckpt.adam_t[key]

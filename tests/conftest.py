@@ -30,6 +30,11 @@ def stable_lpc_coeffs(rng, order):
     return a
 
 
+def op_shapes(tape, op):
+    """Output shapes of a tape's ``op`` records, in forward order."""
+    return [out.shape for name, out in tape.outputs() if name == op]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -55,6 +60,9 @@ LOAD_DEFECTS = {
     "missing_cond_scale": (lambda blob, pairs: blob.pop("cond_scale"), "'cond_scale'"),
     "zero_cond_scale": (lambda blob, pairs: blob.update(cond_scale=0.0), "'cond_scale'"),
     "duplicate_tensor": (lambda blob, pairs: pairs.append(pairs[0]), "'G.enc.down0.weight'"),
+    "adam_t_without_d": (lambda blob, pairs: blob.update(adam_t={"g": 1}), "'adam_t'"),
+    "adam_t_list": (lambda blob, pairs: blob.update(adam_t=[1, 1]), "'adam_t'"),
+    "rng_state_list": (lambda blob, pairs: blob.update(rng_state=[1]), "'rng_state'"),
 }
 
 

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to watch the per-criterion
-lines; the training-based criteria (6, 7, 9) dominate the runtime.
+lines; the training-based criteria (6, 7, 9) dominate the runtime and are
+marked ``slow``.
 """
 
 import time
@@ -12,7 +13,7 @@ from scipy.linalg import solve_toeplitz
 
 from abas import cli, dsp, metrics
 from abas import train as T
-from abas.autodiff import Parameter, Tensor
+from abas.autodiff import Parameter, Tape, Tensor
 from abas.model import (
     Discriminator,
     DiscriminatorConfig,
@@ -24,7 +25,7 @@ from abas.nn import SpectralNormState, estimate_sigma, matricize
 from abas.verify import gradient_suite
 from abas.wavio import read_wav, write_wav
 
-from conftest import stable_lpc_coeffs
+from conftest import op_shapes, stable_lpc_coeffs
 
 
 def report(n, status, detail):
@@ -45,16 +46,17 @@ def test_criterion_02_shape_fidelity():
     rng = np.random.default_rng(0)
     G = Generator(GeneratorConfig(), rng)
     D = Discriminator(DiscriminatorConfig(), rng)
-    trace = []
-    ctx = G.encode_residual(Tensor(rng.standard_normal((1, 16000), dtype=np.float32)), trace)
-    assert trace == [(32, 8000), (64, 4000), (64, 2000), (128, 1000), (1, 1000)]
+    tape = Tape()
+    ctx = G.encode_residual(tape.tensor(rng.standard_normal((1, 16000), dtype=np.float32)))
+    assert op_shapes(tape, "conv1d") == [(32, 8000), (64, 4000), (64, 2000), (128, 1000), (1, 1000)]
     hid = G.decode_context(ctx)
     assert hid.data.shape == (64, 1000)
     fake = G.upsample_adversarial(hid, NoiseBundle.draw(rng, 32, 1000))
     assert fake.data.shape == (1, 16000)
-    d_trace = []
-    D.discriminate(fake, Tensor(rng.standard_normal((1, 16000), dtype=np.float32)), d_trace)
-    assert d_trace == [
+    d_tape = Tape()
+    D.discriminate(d_tape.tensor(fake.data),
+                   Tensor(rng.standard_normal((1, 16000), dtype=np.float32)))
+    assert op_shapes(d_tape, "conv1d") == [
         (16, 8000), (16, 4000), (32, 2000), (32, 1000), (64, 500), (32, 250),
     ]
     report(2, "PASS", "encoder/upsampler/discriminator traces exact at L=16000")
@@ -113,11 +115,10 @@ def test_criterion_05_spectral_norm_convergence():
     rng = np.random.default_rng(2)
     G = Generator(GeneratorConfig(), np.random.default_rng([2, 0]))
     D = Discriminator(DiscriminatorConfig(), np.random.default_rng([2, 1]))
-    params = {p.name: p for p in G.parameters() + D.parameters()}
     worst = 0.0
     checked = 0
-    for name, _, transpose in G.sn_entries() + D.sn_entries():
-        mat = matricize(params[name].data.astype(np.float64), transpose)
+    for conv in G.convs() + D.convs():
+        mat = matricize(conv.weight.data.astype(np.float64), conv.transpose_in_out)
         if mat.shape[0] > 64 or mat.shape[1] > 2080:
             continue
         state = SpectralNormState(rng, mat.shape[0], np.float64)
@@ -134,6 +135,7 @@ def test_criterion_05_spectral_norm_convergence():
     assert worst <= 1e-3, f"worst normalized top singular value off by {worst:.2e}"
 
 
+@pytest.mark.slow
 def test_criterion_06_overfit_smoke(tmp_path):
     t0 = time.perf_counter()
     cfg = T.TrainConfig(
@@ -157,6 +159,7 @@ def test_criterion_06_overfit_smoke(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_harness(tmp_path):
     base = dict(batch_size=1, segment_len=528, steps=300, seed=42,
                 synthetic={"n_clips": 8, "clip_len": 16000})
@@ -221,6 +224,7 @@ def test_criterion_08_cross_synthesis_property(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_determinism(tmp_path):
     corpus = tmp_path / "corpus"
     T.gen_synthetic_corpus(2, 4160, seed=5, out_dir=corpus)

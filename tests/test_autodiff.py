@@ -132,7 +132,7 @@ class TestConv1d:
                 held[mode] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            records[mode] = len(tape._records)
+            records[mode] = len(tape.outputs())
         assert held["reflect"] < held["zero"] + 0.1 * x.nbytes, f"{held} B held, {x.nbytes} B input"
         assert records == {"zero": 1, "reflect": 1}
 
@@ -772,6 +772,26 @@ class TestNoGradMode:
         plain = ad.conv1d(Tensor(x), w, b, stride=2, pad=(2, 2), pad_mode="reflect")
         assert np.array_equal(taped.data, plain.data)
         assert plain.tape is None and not Tape().__dict__.get("_records")
+
+
+class TestTapeOutputs:
+    def test_ops_in_forward_order_with_their_outputs(self, rng):
+        tape = Tape()
+        w = Parameter("w", rng.normal(size=(3, 2, 5)))
+        h = ad.conv1d(tape.tensor(rng.normal(size=(2, 20))), w, None, 2, (2, 2), "reflect")
+        y = ad.tanh_(h)
+        loss = ad.mean_(ad.mul_(y, y))
+        outputs = tape.outputs()
+        assert [name for name, _ in outputs] == ["conv1d", "tanh", "mul", "mean"]
+        assert outputs[0][1] is h.data and outputs[1][1] is y.data
+        assert outputs[3][1] is loss.data
+        np.testing.assert_array_equal(outputs[2][1], y.data * y.data)
+
+    def test_outputs_is_a_copy_of_the_record_list(self, rng):
+        tape = Tape()
+        ad.tanh_(tape.tensor(rng.normal(size=(2, 4))))
+        tape.outputs().clear()
+        assert len(tape.outputs()) == 1
 
 
 class TestSegments:

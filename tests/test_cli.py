@@ -243,6 +243,17 @@ class TestTrainCommand:
         assert rc == 3
         assert "G.enc.down0.weight.m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["adam_t_without_d", "adam_t_list", "rng_state_list"])
+    def test_resume_bad_optimizer_or_rng_state_exits_3(self, trained, corpus_dir, tmp_path,
+                                                       capsys, defect):
+        edit, named = LOAD_DEFECTS[defect]
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", edit_file=edit)
+        rc = cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                       "--steps", "3", "--batch", "1", "--seg-len", "528", "--seed", "4",
+                       "--resume", str(bad)])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+
     def test_gate_flag_difference_is_config_only(self, corpus_dir, tmp_path, capsys):
         for gate in ("softmax", "sigmoid"):
             rc = cli.main(["train", "--corpus", str(corpus_dir), "--steps", "1", "--batch", "1",

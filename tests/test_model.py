@@ -15,6 +15,8 @@ from abas.model import (
 )
 from abas.nn import GATE_KINDS, SpectralNormState, matricize
 
+from conftest import op_shapes
+
 
 @pytest.fixture(scope="module")
 def production():
@@ -34,9 +36,10 @@ def tiny():
 class TestEncoder:
     def test_feature_map_trace_16000(self, production, rng):
         G, _ = production
-        trace = []
-        ctx = G.encode_residual(Tensor(rng.standard_normal((1, 16000), dtype=np.float32)), trace)
-        assert trace == [(32, 8000), (64, 4000), (64, 2000), (128, 1000), (1, 1000)]
+        tape = Tape()
+        ctx = G.encode_residual(tape.tensor(rng.standard_normal((1, 16000), dtype=np.float32)))
+        assert op_shapes(tape, "conv1d") == [(32, 8000), (64, 4000), (64, 2000), (128, 1000),
+                                             (1, 1000)]
         assert ctx.data.shape == (1, 1000)
 
     def test_fully_convolutional_scaling(self, production, rng):
@@ -78,12 +81,13 @@ class TestDecoder:
 class TestUpsampler:
     def test_16x_shape(self, production, rng):
         G, _ = production
-        hid = Tensor(rng.standard_normal((64, 1000), dtype=np.float32))
+        tape = Tape()
+        hid = tape.tensor(rng.standard_normal((64, 1000), dtype=np.float32))
         z = NoiseBundle.draw(np.random.default_rng(1), 32, 1000)
-        trace = []
-        out = G.upsample_adversarial(hid, z, trace)
-        assert [s[1] for s in trace] == [2000, 4000, 8000, 16000]
-        assert all(s[0] == 64 for s in trace)
+        out = G.upsample_adversarial(hid, z)
+        shapes = op_shapes(tape, "concat_channels")
+        assert [s[1] for s in shapes] == [2000, 4000, 8000, 16000]
+        assert all(s[0] == 64 for s in shapes)
         assert out.data.shape == (1, 16000)
 
     def test_output_in_tanh_range(self, production, rng):
@@ -204,12 +208,12 @@ class TestGenerateSegments:
 class TestDiscriminator:
     def test_trace_16000(self, production, rng):
         _, D = production
-        x = Tensor(rng.standard_normal((1, 16000), dtype=np.float32))
+        tape = Tape()
+        x = tape.tensor(rng.standard_normal((1, 16000), dtype=np.float32))
         r = Tensor(rng.standard_normal((1, 16000), dtype=np.float32))
-        trace = []
-        D.discriminate(x, r, trace)
-        shapes = [t[:2] for t in trace]
-        assert shapes == [(16, 8000), (16, 4000), (32, 2000), (32, 1000), (64, 500), (32, 250)]
+        D.discriminate(x, r)
+        assert op_shapes(tape, "conv1d") == [(16, 8000), (16, 4000), (32, 2000), (32, 1000),
+                                             (64, 500), (32, 250)]
 
     def test_zero_weights_zero_score(self, rng):
         D = Discriminator(DiscriminatorConfig.tiny(), rng)
@@ -250,6 +254,41 @@ def _reachable(obj, kind, seen=None) -> list:
     return [found for child in children for found in _reachable(child, kind, seen)]
 
 
+class TestTapeOutputs:
+    def test_two_segment_conv_outputs_span_both_segments(self, tiny, rng):
+        G, _ = tiny
+        L = 96
+        tape = Tape()
+        G.encode_residual(tape.tensor(rng.standard_normal((1, 2 * L), dtype=np.float32), 2))
+        assert op_shapes(tape, "conv1d") == [(4, L), (8, L // 2), (8, L // 4), (16, L // 8),
+                                             (1, L // 8)]
+
+    def test_taped_forward_equals_tapeless(self, tiny, rng):
+        # so a forward run on a tape to read its feature maps shows the tape-less bits
+        G, D = tiny
+        x = rng.standard_normal((1, 2 * 96), dtype=np.float32)
+        z = NoiseBundle.draw(np.random.default_rng(0), G.cfg.noise_channels, 2 * 6)
+        tape = Tape()
+        fake = G.generate(tape.tensor(x, 2), z)
+        taped = D.discriminate(fake, tape.tensor(x, 2))
+        plain = G.generate(Tensor(x, segments=2), z)
+        assert np.array_equal(fake.data, plain.data)
+        assert np.array_equal(taped.data, D.discriminate(plain, Tensor(x, segments=2)).data)
+
+    def test_tapeless_forward_records_nothing(self, tiny, rng, monkeypatch):
+        G, D = tiny
+
+        def record(self, name, out_data, backward_fn):
+            raise AssertionError(f"tape-less forward recorded {name}")
+
+        monkeypatch.setattr(Tape, "record", record)
+        x = Tensor(rng.standard_normal((1, 2 * 96), dtype=np.float32), segments=2)
+        z = NoiseBundle.draw(np.random.default_rng(0), G.cfg.noise_channels, 2 * 6)
+        fake = G.generate(x, z)
+        score = D.discriminate(fake, x)
+        assert fake.tape is None and score.tape is None and score.data.shape == (1, 2)
+
+
 class TestInventory:
     """``self.layers`` must list every layer a model holds, or that layer would
     train without being saved or having its spectral norm advanced."""
@@ -263,7 +302,7 @@ class TestInventory:
             held = _reachable(model, Parameter)
             assert held and {id(p) for p in held} == {id(p) for p in model.parameters()}
             held = _reachable(model, SpectralNormState)
-            assert held and {id(s) for s in held} == {id(s) for _, s, _ in model.sn_entries()}
+            assert held and {id(s) for s in held} == {id(c.sn) for c in model.convs()}
 
 
 class TestSpectralNormAdvance:
@@ -279,23 +318,22 @@ class TestSpectralNormAdvance:
 
     def test_forward_does_not_mutate_state(self, tiny, rng):
         G, _ = tiny
-        us = [st.u.copy() for _, st, _ in G.sn_entries()]
+        us = [conv.sn.u.copy() for conv in G.convs()]
         x = Tensor(rng.standard_normal((1, 96), dtype=np.float32))
         G.generate(x, NoiseBundle.draw(np.random.default_rng(0), G.cfg.noise_channels, 6))
-        for (name, st, _), u in zip(G.sn_entries(), us):
-            assert np.array_equal(st.u, u)
+        for conv, u in zip(G.convs(), us):
+            assert np.array_equal(conv.sn.u, u)
 
     def test_one_step_band(self, production):
         # after one advance, estimated sigma of each normalized matrix is
         # within [0.5, 2.0] of the true top singular value
         G, D = production
-        params = {p.name: p for p in G.parameters() + D.parameters()}
         from abas import nn
 
-        for name, state, transpose in G.sn_entries() + D.sn_entries():
-            mat = matricize(params[name].data.astype(np.float64), transpose)
-            state.advance(mat)
-            sigma = nn.estimate_sigma(mat, state)[0]
+        for conv in G.convs() + D.convs():
+            mat = matricize(conv.weight.data.astype(np.float64), conv.transpose_in_out)
+            conv.sn.advance(mat)
+            sigma = nn.estimate_sigma(mat, conv.sn)[0]
             top = np.linalg.svd(mat, compute_uv=False)[0]
             assert 0.5 <= top / sigma <= 2.0
 

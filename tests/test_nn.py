@@ -4,6 +4,7 @@ import pytest
 from abas import autodiff as ad
 from abas import nn
 from abas.autodiff import Parameter, Tape, Tensor
+from abas.model import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig
 from abas.nn import matricize
 
 
@@ -42,7 +43,7 @@ class TestGatedConv:
         assert np.array_equal(out.data, direct.data)
         tape = Tape()
         layer(tape.tensor(x.data))
-        assert [rec[0] for rec in tape._records] == [
+        assert [name for name, _ in tape.outputs()] == [
             "spectral_normalize", "spectral_normalize", "gated_conv_pair"
         ]
 
@@ -167,10 +168,21 @@ class TestLayerPlumbing:
         names = [p.name for p in layer.parameters()]
         assert len(names) == len(set(names)) == 4
 
-    def test_sn_entries_expose_states(self, rng):
-        conv = nn.Conv1d(rng, "c", 2, 3, 5)
-        (name, state, transpose), = conv.sn_entries()
-        assert name == "c.weight" and not transpose
-        tconv = nn.TConv1d(rng, "t", 2, 3, 6)
-        (_, _, transpose2), = tconv.sn_entries()
-        assert transpose2
+    def test_convs_in_checkpoint_order(self):
+        # each gated layer expands into its filter then its gate; only the
+        # upsampler's transposed convs hold (in, out, k) weights
+        G = Generator(GeneratorConfig.tiny(), np.random.default_rng(0))
+        convs = G.convs()
+        names = [conv.weight.name for conv in convs]
+        assert names == [p.name for p in G.parameters() if p.name.endswith(".weight")]
+        assert names[:8] == [
+            "G.enc.down0.weight", "G.enc.down1.weight", "G.enc.down2.weight",
+            "G.enc.down3.weight", "G.enc.compress.weight", "G.dec.expand.weight",
+            "G.dec.gated0.filter.weight", "G.dec.gated0.gate.weight",
+        ]
+        assert {c.weight.name for c in convs if c.transpose_in_out} == {
+            f"G.up.{kind}{i}{sfx}.weight" for kind, sfx in (("stage", ".tconv"), ("noise", ""))
+            for i in range(4)}
+        D = Discriminator(DiscriminatorConfig.tiny(), np.random.default_rng(0))
+        assert [c.weight.name for c in D.convs()] == [f"D.layer{i}.weight" for i in range(6)]
+        assert not any(c.transpose_in_out for c in D.convs())

@@ -334,9 +334,9 @@ class TestTrainStep:
         seen = []
         orig = D.discriminate
 
-        def spy(candidate, residual, trace=None):
+        def spy(candidate, residual):
             seen.append((candidate.data.copy(), residual.data.copy()))
-            return orig(candidate, residual, trace)
+            return orig(candidate, residual)
 
         monkeypatch.setattr(D, "discriminate", spy)
         stats = T.train_step(batch, G, D, og, od, cfg, rng)
@@ -359,9 +359,9 @@ class TestTrainStep:
         seen = []
         orig = D.discriminate
 
-        def spy(candidate, residual, trace=None):
+        def spy(candidate, residual):
             seen.append((candidate.data.copy(), residual.data.copy()))
-            return orig(candidate, residual, trace)
+            return orig(candidate, residual)
 
         monkeypatch.setattr(D, "discriminate", spy)
         T.train_step(batch, G, D, og, od, cfg, rng)
@@ -439,9 +439,9 @@ class TestTrainStep:
         seen = []
         orig = D.discriminate
 
-        def spy(candidate, residual, trace=None):
+        def spy(candidate, residual):
             seen.append(candidate.data.copy())
-            return orig(candidate, residual, trace)
+            return orig(candidate, residual)
 
         monkeypatch.setattr(D, "discriminate", spy)
         T.train_step(batch, G, D, og, od, cfg, rng)
@@ -452,18 +452,18 @@ class TestTrainStep:
     def test_sn_advances_once_per_phase(self):
         cfg = self._cfg()
         G, D, og, od, batches, rng, _, _ = tiny_setup(cfg)
-        g_u = [st.u.copy() for _, st, _ in G.sn_entries()]
-        d_u = [st.u.copy() for _, st, _ in D.sn_entries()]
+        g_u = [conv.sn.u.copy() for conv in G.convs()]
+        d_u = [conv.sn.u.copy() for conv in D.convs()]
         T.train_step(next(batches), G, D, og, od, cfg, rng)
         # every state with a non-degenerate u moved (u in R^1 is pinned at +-1)
-        for (name, st, tr), old in zip(D.sn_entries(), d_u):
-            if st.u.size > 1:
-                assert not np.array_equal(st.u, old), name
-        for (name, st, tr), old in zip(G.sn_entries(), g_u):
-            if st.u.size > 1:
-                assert not np.array_equal(st.u, old), name
+        for conv, old in zip(D.convs(), d_u):
+            if conv.sn.u.size > 1:
+                assert not np.array_equal(conv.sn.u, old), conv.name
+        for conv, old in zip(G.convs(), g_u):
+            if conv.sn.u.size > 1:
+                assert not np.array_equal(conv.sn.u, old), conv.name
             else:
-                assert abs(float(st.u[0])) == pytest.approx(1.0, abs=1e-6)
+                assert abs(float(conv.sn.u[0])) == pytest.approx(1.0, abs=1e-6)
 
     def test_divergence_reports_first_bad_tensor(self):
         cfg = self._cfg()
@@ -477,15 +477,15 @@ class TestTrainStep:
 def _state(G, D):
     """Every weight and power-iteration vector of G and D, copied."""
     weights = {p.name: p.data.copy() for p in G.parameters() + D.parameters()}
-    return weights, {name: st.u.copy() for name, st, _ in G.sn_entries() + D.sn_entries()}
+    return weights, {conv.name: conv.sn.u.copy() for conv in G.convs() + D.convs()}
 
 
 def _restore(G, D, state):
     weights, us = state
     for p in G.parameters() + D.parameters():
         p.data[...] = weights[p.name]
-    for name, st, _ in G.sn_entries() + D.sn_entries():
-        st.u = us[name].copy()
+    for conv in G.convs() + D.convs():
+        conv.sn.u = us[conv.name].copy()
 
 
 def _per_example_d_grads(batch, G, D, rng):
@@ -658,7 +658,7 @@ class TestCheckpoint:
         G, D = T.build_models(T.load_checkpoint(one_step_ckpt).config)
         params = [p.name for p in G.parameters() + D.parameters()]
         moments = [name + sfx for name in params for sfx in (".m", ".v", ".vmax")]
-        sn_u = [name + ".sn_u" for name, _, _ in G.sn_entries() + D.sn_entries()]
+        sn_u = [conv.weight.name + ".sn_u" for conv in G.convs() + D.convs()]
         assert names == params + moments + sn_u
 
     @pytest.mark.parametrize("defect", sorted(LOAD_DEFECTS))
