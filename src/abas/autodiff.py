@@ -858,7 +858,7 @@ def batch_mean_(x: Tensor) -> Tensor:
 
 
 def grad_check(
-    build_loss: Callable[[], tuple[Tape, Tensor]],
+    loss_of: Callable[[Tape], Tensor],
     params: Iterable[Parameter],
     epsilon: float = 1e-5,
     coords_per_param: int = 4,
@@ -866,18 +866,19 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    ``build_loss`` must rebuild the forward pass from scratch (fresh tape) and
-    return (tape, scalar loss); any randomness must be frozen inside the
-    closure. Parameters and inputs should be float64 for the documented
-    tolerances to be meaningful. Per coordinate the step is
+    ``loss_of(tape)`` builds the forward pass on the tape it is given and
+    returns the scalar loss; grad_check calls it with a fresh tape for the
+    analytic pass and for every perturbed evaluation. Any randomness must be
+    frozen inside it. Parameters and inputs should be float64 for the
+    documented tolerances to be meaningful. Per coordinate the step is
     epsilon * max(1, |theta|); the error is |a - n| / max(1, |a|, |n|).
     """
     params = list(params)
     rng = np.random.default_rng(seed)
     for p in params:
         p.zero_grad()
-    tape, loss = build_loss()
-    tape.backward(loss)
+    tape = Tape()
+    tape.backward(loss_of(tape))
     analytic = {id(p): p.grad.copy() for p in params}
     max_rel = 0.0
     for p in params:
@@ -888,9 +889,9 @@ def grad_check(
             theta = float(flat[i])
             eps = epsilon * max(1.0, abs(theta))
             flat[i] = theta + eps
-            f_plus = build_loss()[1].item()
+            f_plus = loss_of(Tape()).item()
             flat[i] = theta - eps
-            f_minus = build_loss()[1].item()
+            f_minus = loss_of(Tape()).item()
             flat[i] = theta
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = float(analytic[id(p)].reshape(-1)[i])

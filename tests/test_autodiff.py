@@ -734,11 +734,7 @@ class TestGradCheck:
     def test_linear_loss_exact(self, rng):
         w = Parameter("w", rng.normal(size=(1, 6)))
 
-        def build():
-            tape = Tape()
-            return tape, ad.mean_(tape.leaf(w))
-
-        assert ad.grad_check(build, [w], coords_per_param=6) <= 1e-10
+        assert ad.grad_check(lambda tape: ad.mean_(tape.leaf(w)), [w], coords_per_param=6) <= 1e-10
 
     def test_gradient_suite_passes(self):
         from abas.verify import TOLERANCE, gradient_suite
@@ -750,16 +746,14 @@ class TestGradCheck:
     def test_finite_differences_catch_wrong_gradient(self, rng):
         w = Parameter("w", rng.normal(size=(1, 4)))
 
-        def build():
-            tape = Tape()
-            t = tape.leaf(w)
-            y = ad.scale_(t, 2.0)
+        def loss_of(tape):
+            y = ad.scale_(tape.leaf(w), 2.0)
             # corrupt the recorded backward to simulate a broken op
             name, oid, od, fn = tape._records[-1]
             tape._records[-1] = (name, oid, od, lambda g: [(p, q * 3) for p, q in fn(g)])
-            return tape, ad.mean_(y)
+            return ad.mean_(y)
 
-        assert ad.grad_check(build, [w], coords_per_param=4) > 0.1
+        assert ad.grad_check(loss_of, [w], coords_per_param=4) > 0.1
 
 
 class TestNoGradMode:
