@@ -75,6 +75,8 @@ def _op_checks(seed: int):
         ("sigmoid", [win], lambda tape: _l1(ad.sigmoid_(tape.leaf(win)))),
         ("prelu", [win, slope], lambda tape: _l1(ad.prelu_(tape.leaf(win), slope))),
         ("leaky_relu", [win], lambda tape: _l1(ad.leaky_relu_(tape.leaf(win), 0.2))),
+        # shifted: abs_mean's adjoint at relu's zeros is 0 and would hide a wrong mask
+        ("relu", [win], lambda tape: _l1(ad.shift_(ad.relu_(tape.leaf(win)), 1.0))),
         ("scale", [win], lambda tape: _l1(ad.scale_(tape.leaf(win), -1.7))),
         ("shift", [win], lambda tape: _l1(ad.shift_(tape.leaf(win), 0.9))),
         # the loss itself exercises abs_mean
