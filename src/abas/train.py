@@ -656,6 +656,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported version {version}; this build reads version {CKPT_VERSION}"
         )
     blob = json.loads(r.read(r.uint("I")).decode("utf-8"))
+    if type(blob) is not dict:
+        raise CheckpointError("checkpoint metadata must be a JSON object")
     for key in ("config", "rng_state", "adam_t", "cond_scale"):
         if key not in blob:
             raise CheckpointError(f"checkpoint metadata lacks {key!r}")

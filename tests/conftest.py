@@ -1,5 +1,6 @@
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -63,12 +64,25 @@ LOAD_DEFECTS = {
     "adam_t_without_d": (lambda blob, pairs: blob.update(adam_t={"g": 1}), "'adam_t'"),
     "adam_t_list": (lambda blob, pairs: blob.update(adam_t=[1, 1]), "'adam_t'"),
     "rng_state_list": (lambda blob, pairs: blob.update(rng_state=[1]), "'rng_state'"),
+    "metadata_null": (lambda blob, pairs: NewBlob(None), "JSON object"),
+    "metadata_number": (lambda blob, pairs: NewBlob(5), "JSON object"),
+    # holds each key's name, so only a type check tells it from an object
+    "metadata_string": (lambda blob, pairs: NewBlob("config rng_state adam_t cond_scale"),
+                        "JSON object"),
 }
+NON_OBJECT_METADATA = ["metadata_null", "metadata_number", "metadata_string"]
+
+
+class NewBlob(NamedTuple):
+    """Returned by an ``edit_file``: ``value`` is written as the whole JSON blob."""
+
+    value: object
 
 
 def rewrite_checkpoint(src, dst, edit=None, edit_file=None):
     """Copy checkpoint src to dst, with its tensor dict changed in place by
-    ``edit``, then its JSON blob and (name, array) list by ``edit_file``."""
+    ``edit``, then its JSON blob and (name, array) list by ``edit_file``, which
+    changes them in place or returns a NewBlob to replace the blob."""
     raw = src.read_bytes()
     blob = json.loads(raw[12 : 12 + struct.unpack("<I", raw[8:12])[0]])
     ckpt = T.load_checkpoint(src)
@@ -77,6 +91,8 @@ def rewrite_checkpoint(src, dst, edit=None, edit_file=None):
         edit(tensors)
     pairs = list(tensors.items())
     if edit_file is not None:
-        edit_file(blob, pairs)
+        new = edit_file(blob, pairs)
+        if isinstance(new, NewBlob):
+            blob = new.value
     T._write_checkpoint(dst, blob, pairs, ckpt.step)
     return dst

@@ -7,7 +7,7 @@ from abas import cli
 from abas.metrics import l1_distance, log_spectral_distance, ssnr
 from abas.train import gen_synthetic_corpus
 from abas.wavio import read_wav
-from conftest import CHECKPOINT_DEFECTS, LOAD_DEFECTS, rewrite_checkpoint
+from conftest import CHECKPOINT_DEFECTS, LOAD_DEFECTS, NON_OBJECT_METADATA, rewrite_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -324,6 +324,16 @@ class TestVocode:
                        "--out", str(tmp_path / "o.wav")])
         assert rc == 3
         assert "shape mismatch for 'G.out.weight'" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.parametrize("defect", NON_OBJECT_METADATA)
+    def test_non_object_metadata(self, trained, corpus_dir, tmp_path, capsys, defect):
+        bad = rewrite_checkpoint(trained, tmp_path / "bad.ckpt", edit_file=LOAD_DEFECTS[defect][0])
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        rc = cli.main(["vocode", "--ckpt", str(bad), "--in", str(src),
+                       "--out", str(tmp_path / "o.wav")])
+        assert rc == 3
+        assert "checkpoint metadata must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
     def test_version_1_checkpoint(self, trained, corpus_dir, tmp_path, capsys):
