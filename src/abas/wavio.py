@@ -64,6 +64,8 @@ def read_wav(path) -> AudioSignal:
         raise WavFormatError(f"expected mono, got {channels} channels")
     if bits != 16:
         raise WavFormatError(f"expected 16-bit PCM, got {bits}")
+    if len(data) % 2:
+        raise WavFormatError(f"data chunk of {len(data)} bytes does not hold whole 16-bit samples")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / PCM16_SCALE
     return AudioSignal(samples)
 

@@ -74,6 +74,12 @@ class TestRead:
         with pytest.raises(WavFormatError, match="truncated data"):
             read_wav(p)
 
+    def test_odd_length_data(self, tmp_path):
+        p = tmp_path / "a.wav"
+        p.write_bytes(make_wav_bytes(samples=b"\x01\x02\x03"))
+        with pytest.raises(WavFormatError, match="data chunk of 3 bytes"):
+            read_wav(p)
+
 
 class TestWrite:
     def test_scaling(self, tmp_path):
