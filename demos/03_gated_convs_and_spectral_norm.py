@@ -39,10 +39,11 @@ true_top = np.linalg.svd(mat, compute_uv=False)[0]
 state = nn.SpectralNormState(rng, 16, np.float64)
 print(f"\ntrue top singular value: {true_top:.6f}")
 print("power-iteration estimate per round:")
+rounds = 0
 for it in (1, 2, 5, 10, 25, 50):
-    while getattr(state, "_rounds", 0) < it:
+    while rounds < it:
         state.advance(mat)
-        state._rounds = getattr(state, "_rounds", 0) + 1
+        rounds += 1
     sigma = nn.estimate_sigma(mat, state)[0]
     print(f"  after {it:3d}: {sigma:.6f} (rel err {abs(sigma - true_top) / true_top:.2e})")
 

@@ -27,7 +27,9 @@ echoes its arguments) are the same on both sides:
   16000 only the 1-tap ``G.dec.expand`` does, whose products are exact);
 - ``cross-synth --order 12``;
 - ``lpc`` with each of its three ``--emit`` kinds;
-- ``inspect-checkpoint``.
+- ``inspect-checkpoint``;
+- ``grad-check --scope model --seed 0``, so the gradient suite's printed
+  errors are compared too.
 
 With ``--ckpt FILE`` both sides instead vocode that one checkpoint, copied
 into the run directory: ``gen-corpus`` as above, then the four ``vocode``
@@ -124,6 +126,7 @@ def scenario(given: bool = False) -> list[tuple[str, list[str]]]:
                            "--out", f"lpc_{emit}.{'csv' if emit == 'coeffs-csv' else 'wav'}"])
           for emit in ("residual", "resynth", "coeffs-csv")),
         ("inspect", ["inspect-checkpoint", "--ckpt", ckpt]),
+        ("grad_check", ["grad-check", "--scope", "model", "--seed", "0"]),
     ]
     return steps
 
