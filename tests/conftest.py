@@ -52,6 +52,12 @@ CHECKPOINT_DEFECTS = {
 }
 
 
+class NewBlob(NamedTuple):
+    """Returned by an ``edit_file``: ``value`` is written as the whole JSON blob."""
+
+    value: object
+
+
 # Edits of a checkpoint's JSON blob or (name, array) list that load_checkpoint
 # must reject, each with a text its error message names.
 LOAD_DEFECTS = {
@@ -71,12 +77,6 @@ LOAD_DEFECTS = {
                         "JSON object"),
 }
 NON_OBJECT_METADATA = ["metadata_null", "metadata_number", "metadata_string"]
-
-
-class NewBlob(NamedTuple):
-    """Returned by an ``edit_file``: ``value`` is written as the whole JSON blob."""
-
-    value: object
 
 
 def rewrite_checkpoint(src, dst, edit=None, edit_file=None):
