@@ -1,7 +1,10 @@
 """Tour of the reverse-mode engine: tapes, conv kernels, gradient checking.
 
 Everything flows through (channels x length) arrays. A Tape records each op;
-backward walks the records in reverse and accumulates into Parameter.grad.
+backward walks the records in reverse and hands each Parameter its gradient
+as Parameter.grad, which is None until then (a second backward adds to it).
+A tape built with Tape(constants=[...]) records no node for those parameters,
+so they get no gradient.
 """
 
 import numpy as np

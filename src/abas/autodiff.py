@@ -35,16 +35,17 @@ pool = SimpleNamespace(clear=lambda: None)
 
 
 class Parameter:
-    """Named weight array with a gradient accumulator of identical shape."""
+    """Named weight array and its gradient: None, or an array of the weight's
+    shape and dtype from the backward passes since the last ``zero_grad``."""
 
     def __init__(self, name: str, data):
         self.name = name
         self.data = np.asarray(data)
-        # calloc'd: a model that never runs backward never touches these pages
-        self.grad = np.zeros(self.data.shape, self.data.dtype)
+        self.grad: np.ndarray | None = None
 
     def zero_grad(self):
-        self.grad[...] = 0
+        """Drop the gradient; the next backward that reaches this weight sets it."""
+        self.grad = None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -90,16 +91,27 @@ class Tape:
     """Ordered op record for one forward pass plus gradient storage.
 
     ``backward`` walks the records in exact reverse order, accumulates node
-    gradients, and finally adds leaf-parameter gradients into their
-    ``Parameter.grad`` accumulators (+=, so repeated backward calls double).
+    gradients, and finally hands each leaf parameter its gradient: a
+    ``Parameter.grad`` of None becomes the array backward computed, and one
+    that holds a gradient becomes the sum of the two, made out of place, so
+    repeated backward calls double it and no tape array is written over.
+
+    Parameters in ``constants`` are held constant: ops read their values but
+    record no node for them, so backward computes no gradient for them and
+    leaves their ``grad`` alone.
     """
 
-    def __init__(self):
+    def __init__(self, constants: Iterable[Parameter] = ()):
         self._records: list[tuple[str, int, np.ndarray, Callable]] = []
         self._leaf_params: dict[int, Parameter] = {}
         self._param_cache: dict[int, int] = {}
+        self._constants = {id(p) for p in constants}
         self._n_nodes = 0
         self.grads: dict[int, np.ndarray] = {}
+
+    def holds_constant(self, param: Parameter) -> bool:
+        """Whether param is one of this tape's constants."""
+        return id(param) in self._constants
 
     def _new_node(self, data, segments: int = 1) -> Tensor:
         t = Tensor(data, self, self._n_nodes, segments)
@@ -148,8 +160,10 @@ class Tape:
                 cur = grads.get(nid)
                 grads[nid] = ga if cur is None else cur + ga
         for nid, p in self._leaf_params.items():
-            if nid in grads:
-                p.grad += grads[nid].reshape(p.data.shape)
+            g = grads.pop(nid, None)
+            if g is not None:
+                g = g.reshape(p.data.shape).astype(p.data.dtype, copy=False)
+                p.grad = g if p.grad is None else p.grad + g
         self.grads = grads
 
     def grad_of(self, t: Tensor) -> np.ndarray | None:
@@ -171,7 +185,7 @@ def _lift(tape: Tape | None, w) -> tuple[int, np.ndarray]:
             raise ValueError("mixing tensors from different tapes")
         return (w.node_id if w.tape is not None else -1), w.data
     if isinstance(w, Parameter):
-        if tape is None:
+        if tape is None or tape.holds_constant(w):
             return -1, w.data
         return tape.leaf(w).node_id, w.data
     return -1, np.asarray(w)
@@ -530,11 +544,14 @@ def conv1d(
         if narrowing:
             # gcols[o*k + m, s] = g[o, s + m - (k - 1)] within each segment, zero outside g
             w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            gw_rev, gx = _im2col_wgrad(_pad(xd, n_seg, pl, pr, pad_mode),
-                                       _pad(g, n_seg, k - 1, k - 1), k, 1, n_seg, w_rev)
+            gp = _pad(g, n_seg, k - 1, k - 1)
             if w_id >= 0:
+                gw_rev, gx = _im2col_wgrad(_pad(xd, n_seg, pl, pr, pad_mode), gp, k, 1, n_seg,
+                                           w_rev)
                 gw_rev = gw_rev.reshape(c_in, c_out, k)
                 out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
+            else:
+                gx = _im2col_matmul(w_rev, gp, k, 1, n_seg)
             gx = _split(gx, n_seg)
         else:
             if w_id >= 0:
@@ -577,10 +594,12 @@ def tconv1d(
 
     def bwd(g):
         # the im2col lowering of the raw output gradient, (c_out*k, length) a segment
-        gw, gx = _im2col_wgrad(xd, _pad(g, n_seg, cl, cr), k, stride, n_seg, w_mat)
-        out = [(x_id, gx)]
+        gp = _pad(g, n_seg, cl, cr)
         if w_id >= 0:
-            out.append((w_id, gw.reshape(w_data.shape)))
+            gw, gx = _im2col_wgrad(xd, gp, k, stride, n_seg, w_mat)
+            out = [(x_id, gx), (w_id, gw.reshape(w_data.shape))]
+        else:
+            out = [(x_id, _im2col_matmul(w_mat, gp, k, stride, n_seg))]
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
         return out
@@ -872,6 +891,8 @@ def grad_check(
     frozen inside it. Parameters and inputs should be float64 for the
     documented tolerances to be meaningful. Per coordinate the step is
     epsilon * max(1, |theta|); the error is |a - n| / max(1, |a|, |n|).
+    A parameter the loss does not reach would compare a zero with a zero and
+    prove nothing, so it raises ValueError.
     """
     params = list(params)
     rng = np.random.default_rng(seed)
@@ -879,6 +900,9 @@ def grad_check(
         p.zero_grad()
     tape = Tape()
     tape.backward(loss_of(tape))
+    unreached = [p.name for p in params if p.grad is None]
+    if unreached:
+        raise ValueError(f"the loss does not reach {', '.join(unreached)}")
     analytic = {id(p): p.grad.copy() for p in params}
     max_rel = 0.0
     for p in params:

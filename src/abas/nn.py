@@ -75,13 +75,15 @@ def spectral_normalize(
     The weight is matricized to (out_channels, in_channels * kernel_width);
     transposed-conv weights (in, out, k) set ``transpose_in_out`` so rows are
     still the operator's output side. u and v are treated as constants, but
-    gradients flow through the division itself.
+    gradients flow through the division itself. Without a tape, or on a tape
+    that holds the weight constant, the result is a tape-less Tensor and
+    records nothing.
     """
     w = weight.data
     sigma, v = estimate_sigma(matricize(w, transpose_in_out), state)
     sigma = max(sigma, SIGMA_FLOOR)
     w_norm = w * w.dtype.type(1.0 / sigma)
-    if tape is None:
+    if tape is None or tape.holds_constant(weight):
         return Tensor(w_norm)
     leaf_id = tape.leaf(weight).node_id
     u = state.u.copy()

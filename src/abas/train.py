@@ -172,7 +172,8 @@ def adam_amsgrad_step(
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  vmax <- max(vmax, v);
     theta <- theta - lr * m_hat / (sqrt(vmax_hat) + eps), with the usual
-    1/(1-b^t) bias corrections.
+    1/(1-b^t) bias corrections. A parameter whose ``grad`` is None steps as
+    with a zero gradient.
     """
     b1, b2 = betas
     state.t += 1
@@ -181,7 +182,7 @@ def adam_amsgrad_step(
     for p in params:
         m, v, vmax = state.m[p.name], state.v[p.name], state.vmax[p.name]
         f = m.dtype.type
-        g = p.grad
+        g = f(0) if p.grad is None else p.grad
         m *= b1
         m += g * f(1.0 - b1)
         v *= b2
@@ -348,12 +349,17 @@ def train_step(
     the batch, so the gradients of its forwards sum to the batch's. Fresh
     noise is drawn for each phase, one per example in batch order;
     spectral-norm power iterations advance exactly once per phase, before its
-    forwards; gradients are zeroed between phases. The D phase generates each
-    forward's fakes with G frozen (``generate_segments``, one tape-less
-    forward) and scores its real and fake candidates side by side, as twice
-    as many segments. G and D scale the residual they are conditioned on by
-    their own ``cond_scale``; in residual-target mode the L1 target and D's
-    real candidate are the residual as the batch holds it.
+    forwards. A gradient lives from a phase's backward passes to its Adam
+    step, which is the last to read it: every parameter enters and leaves
+    the step with ``grad`` None. The D phase generates each forward's fakes
+    with G frozen (``generate_segments``, one tape-less forward) and scores
+    its real and fake candidates side by side, as twice as many segments.
+    The G phase holds D frozen on its tapes (``Tape(constants=...)``): D's
+    weights are normalised tape-less and backward computes no gradient for
+    them, only the input gradients that reach G, whose bits do not depend on
+    it. G and D scale the residual they are conditioned on by their own
+    ``cond_scale``; in residual-target mode the L1 target and D's real
+    candidate are the residual as the batch holds it.
     """
     g_params = G.parameters()
     d_params = D.parameters()
@@ -371,7 +377,7 @@ def train_step(
     # -- discriminator phase
     D.advance_spectral_norm()
     for p in g_params + d_params:
-        p.zero_grad()
+        p.zero_grad()  # a gradient left by a caller is not this step's
     d_loss = 0.0
     for n, speech, res in parts:
         fake = G.generate_segments(res[0], seg, rng)[None]
@@ -387,17 +393,17 @@ def train_step(
         tape.backward(loss)
         d_loss += loss.item()
     adam_amsgrad_step(d_params, opt_d, config.lr_d, config.betas)
+    for p in d_params:
+        p.zero_grad()
 
     # -- generator phase
     G.advance_spectral_norm()
-    for p in g_params + d_params:
-        p.zero_grad()
     l1_mean = 0.0
     adv_mean = 0.0
     for n, speech, res in parts:
         z = np.concatenate([NoiseBundle.draw(rng, nch, m, speech.dtype).base for _ in range(n)],
                            axis=1)
-        tape = Tape()
+        tape = Tape(constants=d_params)
         cond = tape.tensor(res, n)
         fake = G.generate(cond, NoiseBundle(z))
         l1 = ad.abs_mean_(ad.sub_(fake, tape.tensor(res if residual_target else speech, n)))
@@ -410,7 +416,7 @@ def train_step(
         l1_mean += float(np.sum(l1.data, dtype=np.float64)) * inv_b
         adv_mean += float(np.sum(adv.data, dtype=np.float64)) * inv_b
     adam_amsgrad_step(g_params, opt_g, config.lr_g, config.betas)
-    for p in g_params + d_params:
+    for p in g_params:
         p.zero_grad()
 
     return StepStats(

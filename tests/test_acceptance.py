@@ -95,7 +95,7 @@ def test_criterion_04_loss_arithmetic():
     assert abs(T.generator_loss(2.0, 1.0, 0.00015) - (-0.99955)) <= 1e-12
     p = Parameter("th", np.array([0.0]))
     st = T.AdamState([p])
-    p.grad[...] = 1.0
+    p.grad = np.ones_like(p.data)
     T.adam_amsgrad_step([p], st, lr=0.0006, betas=(0.5, 0.99))
     m_hat = 0.5 / (1 - 0.5)
     v_hat = 0.01 / (1 - 0.99)

@@ -691,6 +691,39 @@ class TestBackward:
         tape.backward(loss)
         assert np.array_equal(w.grad, 2.0 * once)
 
+    def test_first_backward_hands_over_later_ones_add_out_of_place(self, rng):
+        w = Parameter("w", rng.normal(size=(2, 3, 4)))
+        assert w.grad is None
+        tape = Tape()
+        loss = ad.abs_mean_(ad.conv1d(leaf(tape, rng.normal(size=(3, 10))), w))
+        tape.backward(loss)
+        first = w.grad
+        assert first.shape == w.data.shape and first.dtype == w.data.dtype
+        kept = first.copy()
+        tape.backward(loss)
+        assert w.grad is not first and np.array_equal(first, kept)
+        w.zero_grad()
+        assert w.grad is None
+
+    def test_constant_parameters_get_no_gradient(self, rng):
+        w, b = Parameter("w", rng.normal(size=(2, 3, 4))), Parameter("b", rng.normal(size=2))
+        s = Parameter("s", np.asarray(0.3))
+        x = rng.normal(size=(3, 10))
+
+        def run(constants):
+            tape = Tape(constants=constants)
+            xt = leaf(tape, x)
+            tape.backward(ad.abs_mean_(ad.prelu_(ad.conv1d(xt, w, b), s)))
+            return tape.grad_of(xt)
+
+        want = run(())
+        grads = {p.name: p.grad for p in (w, b, s)}
+        for p in (w, b, s):
+            p.zero_grad()
+        np.testing.assert_array_equal(run([w, s]), want)
+        assert w.grad is None and s.grad is None
+        np.testing.assert_array_equal(b.grad, grads["b"])
+
     def test_empty_tape(self):
         tape = Tape()
         with pytest.raises(ValueError, match="empty tape"):
@@ -742,6 +775,12 @@ class TestGradCheck:
         results = gradient_suite(scope="layer", seed=0)
         worst = max(err for _, err in results)
         assert worst <= TOLERANCE, f"worst: {worst}"
+
+    def test_unreached_parameter_raises(self, rng):
+        # an unreached parameter would compare an analytic 0 with a numeric 0
+        w, unused = Parameter("w", rng.normal(size=(1, 6))), Parameter("unused", np.zeros(3))
+        with pytest.raises(ValueError, match="does not reach unused$"):
+            ad.grad_check(lambda tape: ad.mean_(tape.leaf(w)), [w, unused])
 
     def test_finite_differences_catch_wrong_gradient(self, rng):
         w = Parameter("w", rng.normal(size=(1, 4)))

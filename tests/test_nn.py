@@ -141,6 +141,53 @@ class TestSpectralNorm:
             assert 0.5 <= top / sigma <= 2.0
 
 
+class TestConstantLayers:
+    """Layers whose parameters a tape holds constant, as train_step's G phase
+    holds D's: the weight is normalised tape-less and reaches the op as a
+    tape-less Tensor, the bias as a raw array."""
+
+    LAYERS = {
+        "conv1d": lambda rng: nn.Conv1d(rng, "c", 4, 6, 5, 2, (2, 2), "zero"),
+        "conv1d narrowing": lambda rng: nn.Conv1d(rng, "n", 4, 2, 5, 1, (2, 2), "reflect"),
+        "tconv1d": lambda rng: nn.TConv1d(rng, "t", 4, 3, 6, 2, (2, 2)),
+        "gated_conv_pair": lambda rng: nn.GatedConvLayer(rng, "g", 4, 4, 5),
+    }
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_no_weight_gradient_same_input_gradient(self, kind, rng, monkeypatch):
+        layer = self.LAYERS[kind](rng)
+        # two segments of 700: the blocks of 1024 columns cross the segment edge
+        x = rng.standard_normal((4, 2 * 700)).astype(np.float32)
+        wgrads, im2col_wgrad = [], ad._im2col_wgrad
+
+        def wgrad_spy(*args, **kwargs):
+            wgrads.append(args[0].shape)
+            return im2col_wgrad(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_im2col_wgrad", wgrad_spy)
+
+        def run(constants):
+            """The ops recorded, the output and the input gradient."""
+            tape = Tape(constants=constants)
+            xt = tape.tensor(x, 2)
+            y = layer(xt)
+            g = np.random.default_rng(1).standard_normal(y.data.shape).astype(np.float32)
+            tape.backward(ad.batch_mean_(ad.mean_(ad.mul_(y, Tensor(g, segments=2)))))
+            return [name for name, _ in tape.outputs()], y.data, tape.grad_of(xt)
+
+        _, want_y, want_gx = run(())
+        assert wgrads and all(p.grad is not None for p in layer.parameters())
+        for p in layer.parameters():
+            p.zero_grad()
+        del wgrads[:]
+        ops, y, gx = run(layer.parameters())
+        assert "spectral_normalize" not in ops
+        assert wgrads == []
+        assert all(p.grad is None for p in layer.parameters())
+        assert np.array_equal(y, want_y)
+        assert gx.dtype == want_gx.dtype and np.array_equal(gx, want_gx)
+
+
 class TestXavier:
     def test_limit_formula(self, rng):
         vals = nn.xavier_init(rng, (1000,), 3, 3, np.float64)

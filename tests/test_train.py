@@ -110,7 +110,7 @@ class TestAdamAmsgrad:
     def test_hand_derived_single_step(self):
         p = Parameter("th", np.array([0.0]))
         st = T.AdamState([p])
-        p.grad[...] = 1.0
+        p.grad = np.ones_like(p.data)
         T.adam_amsgrad_step([p], st, lr=0.0006, betas=(0.5, 0.99))
         # m=0.5, m_hat=1; v=0.01, vmax=0.01, v_hat=1; theta = -lr/(1+eps)
         expect = -0.0006 * 1.0 / (np.sqrt(1.0) + 1e-8)
@@ -127,7 +127,7 @@ class TestAdamAmsgrad:
         st = T.AdamState([p])
         prev = st.vmax["th"].copy()
         for _ in range(100):
-            p.grad[...] = rng.normal(size=8)
+            p.grad = rng.normal(size=8)
             T.adam_amsgrad_step([p], st, lr=1e-3)
             assert np.all(st.vmax["th"] >= prev)
             assert np.all(st.vmax["th"] >= st.v["th"])
@@ -138,7 +138,7 @@ class TestAdamAmsgrad:
         st = T.AdamState([p])
         prev = 1.0
         for _ in range(300):
-            p.grad[...] = 2.0 * p.data
+            p.grad = 2.0 * p.data
             T.adam_amsgrad_step([p], st, lr=0.01)
             cur = abs(float(p.data[0]))
             assert cur <= prev + 1e-15
@@ -325,7 +325,36 @@ class TestTrainStep:
         G, D, og, od, batches, rng, _, _ = tiny_setup(cfg)
         T.train_step(next(batches), G, D, og, od, cfg, rng)
         for p in G.parameters() + D.parameters():
-            assert np.all(p.grad == 0)
+            assert p.grad is None, p.name
+
+    def test_g_phase_holds_d_constant(self, monkeypatch):
+        """Adam's G step sees no D gradient, and G gradients with the bits of a
+        G phase that has D on its tapes."""
+        cfg = self._cfg()
+
+        def g_step_grads(d_on_tape):
+            G, D, og, od, batches, rng, _, _ = tiny_setup(cfg)
+            seen, adam = [], T.adam_amsgrad_step
+
+            def adam_spy(params, *args, **kwargs):
+                seen.append([None if p.grad is None else p.grad.copy()
+                             for p in G.parameters() + D.parameters()])
+                return adam(params, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(T, "adam_amsgrad_step", adam_spy)
+                if d_on_tape:
+                    m.setattr(T, "Tape", lambda constants=(): Tape())
+                T.train_step(next(batches), G, D, og, od, cfg, rng)
+            n_g = len(G.parameters())
+            return seen[1][:n_g], seen[1][n_g:]
+
+        g_grads, d_grads = g_step_grads(False)
+        ref_g, ref_d = g_step_grads(True)
+        assert all(g is None for g in d_grads)
+        assert all(g is not None for g in ref_d)  # the reference had D on its tapes
+        for a, b in zip(g_grads, ref_g):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_residual_target_mode_wiring(self, monkeypatch):
         cfg = self._cfg(target_mode="residual")

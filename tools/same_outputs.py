@@ -38,11 +38,12 @@ steps above (the 5000- and 37000-sample clips, with and without
 training on purpose shows with it that vocoding is unchanged, given a
 checkpoint written by the parent.
 
-Every command's stdout, stderr and exit code are kept as files beside its
-outputs. Every file of one side is then compared byte for byte with the
-other's. Exit status: 0 when all files are identical, 1 when any differs or
-exists on one side only (the work directory is then kept for inspection),
-2 when a command fails.
+Both sides run in a new directory under ``--work DIR`` (created if missing)
+or the system's temp directory. Every command's stdout, stderr and exit code
+are kept as files beside its outputs. Every file of one side is then
+compared byte for byte with the other's. Exit status: 0 when all files are
+identical, 1 when any differs or exists on one side only (the work directory
+is then kept for inspection), 2 when a command fails or an argument is bad.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--work", type=Path, help="scratch directory (default: a new temp dir)")
+    parser.add_argument("--work", type=Path, help="scratch directory, created if missing "
+                                                 "(default: the system's temp dir)")
     parser.add_argument("--ckpt", type=Path, help="vocode this checkpoint on both sides instead "
                                                  "of running the whole scenario")
     args = parser.parse_args(argv)
@@ -180,6 +182,11 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no abas package")
     if args.ckpt is not None and not args.ckpt.is_file():
         parser.error(f"{args.ckpt} is not a file")
+    if args.work is not None:
+        try:
+            args.work.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            parser.error(f"cannot use --work {args.work}: {e.strerror}")
     work = Path(tempfile.mkdtemp(prefix="same_outputs_", dir=args.work))
     run_dir = work / "run"  # both sides run here, so their outputs hold the same paths
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
