@@ -80,6 +80,11 @@ class TestConv1d:
         with pytest.raises(ValueError, match="kernel width"):
             ad.conv1d(Tensor(np.zeros((1, 4))), Parameter("w", np.zeros((1, 1, 8))))
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}$"):
+            ad.conv1d(Tensor(np.zeros((1, 20))), Parameter("w", np.zeros((3, 1, 4))), stride=stride)
+
     def test_bias(self):
         tape = Tape()
         y = ad.conv1d(
@@ -176,6 +181,54 @@ SMALL_BLOCK = 16
 def at_block_width(width, fn):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "IM2COL_BLOCK", width)
+        return fn()
+
+
+# Worst-case error of a float32 correlation output, to first order in the
+# unit roundoff U, on either lowering of _correlate; both bounds are multiples
+# of sum_c |w_c|_2 |x_c|_2, w_c the kernel row of channel c and x_c a window
+# of that channel's input that holds every sample the output depends on.
+# - im2col: a dot product of c*taps terms errs by at most gamma(c*taps) times
+#   sum |w||x| (Higham 2002, eq. 3.5), and by Cauchy-Schwarz sum |w||x| is at
+#   most sum_c |w_c|_2 |x_c|_2.
+# - FFT product: a radix-2 FFT of N samples has normwise relative error at
+#   most eps = log2(N) eta / (1 - log2(N) eta), eta = U + gamma(4) (sqrt(2) + U)
+#   with twiddle factors correct to U (Higham 2002, Thm 24.2); each bin's
+#   complex sum over c channels errs by sqrt(2) gamma(c + 2) of its terms.
+#   Through the frame's transform, the kernel's transform, the per-bin sums
+#   and the inverse transform (1/sqrt(N) in 2-norm, |W|_inf <= |w|_1 <=
+#   sqrt(N) |w|_2), the error of one frame's outputs has 2-norm at most
+#   (3 eps + sqrt(2) gamma(c + 2)) sqrt(N) sum_c |w_c|_2 |x_c|_2, x_c the
+#   frame, and so does each output of it.
+U = 2.0**-24
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+def fft_error_factor(c, frame):
+    eta = U + gamma(4) * (np.sqrt(2) + U)
+    eps = np.log2(frame) * eta / (1 - np.log2(frame) * eta)
+    return (3 * eps + np.sqrt(2) * gamma(c + 2)) * np.sqrt(frame)
+
+
+def window_norms(x, reach):
+    """|x[c, i - reach .. i + reach]|_2 for every column i of x, zero outside x."""
+    sq = np.pad(x.astype(np.float64) ** 2, ((0, 0), (reach + 1, reach)))
+    cs = np.cumsum(sq, axis=1)
+    return np.sqrt(np.maximum(cs[:, 2 * reach + 1 :] - cs[:, : -2 * reach - 1], 0.0))
+
+
+def at_fft(fn, frame=16, chunk=2):
+    """fn() with every stride-1 correlation of up to frame/2 + 1 taps on the
+    FFT product, in frames of `frame` samples, `chunk` frames at a time, so
+    that short signals span several frames and chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "FFT_MIN_COLUMNS", 1)
+        mp.setattr(ad, "FFT_MIN_TAPS", 1)
+        mp.setattr(ad, "FFT_FRAME", frame)
+        mp.setattr(ad, "FFT_CHUNK", chunk)
         return fn()
 
 
@@ -407,20 +460,32 @@ class TestIm2colBlocks:
             assert np.array_equal(y, np.concatenate(per, axis=1))
 
     def test_tconv1d_blocks_invisible_full_size(self, rng):
-        # G.up.stage3.tconv at a 1 s segment: the forward GEMM runs in column
-        # blocks, last block first, and gives the bits of one GEMM and one fold
-        # while holding a fraction of the (32*66, 8000) taps matrix
+        # G.up.stage3.tconv at a 1 s segment. On im2col (FFT product off), the
+        # phases' stacked GEMM runs in column blocks and gives the bits of one
+        # GEMM of the phase-stacked weights, interleaved; on either lowering
+        # the forward holds a fraction of the (32*66, 8000) taps matrix
         x = rng.standard_normal((64, 8000), dtype=np.float32)
         w = rng.standard_normal((64, 32, 66), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            y = ad.tconv1d(Tensor(x), w, stride=2, crop=(32, 32)).data
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        taps = w.reshape(64, -1).T @ x
-        assert np.array_equal(y, fold(taps.reshape(32, 66, 8000), 2, 16064)[:, 32:-32])
-        assert peak < taps.nbytes / 3, f"peak {peak} B for {taps.nbytes} B of taps"
+        # row p*32 + o, column c*33 + j: tap (32 - j)*2 + p of w[c, o]
+        w_phases = np.stack([w[:, :, p::2][:, :, ::-1] for p in range(2)])
+        w_phases = w_phases.transpose(0, 2, 1, 3).reshape(64, 64 * 33)
+        # crop 32 keeps phase outputs 16 .. 8015, which read x[-16 .. 8015]
+        ref = w_phases @ im2col(np.pad(x, ((0, 0), (16, 16))), 33, 1)
+        ref = ref.reshape(2, 32, 8000).transpose(1, 2, 0).reshape(32, 16000)
+        taps_nbytes = 32 * 66 * 8000 * 4
+        for fft in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if not fft:
+                    mp.setattr(ad, "FFT_MIN_COLUMNS", 10**9)
+                tracemalloc.start()
+                try:
+                    y = ad.tconv1d(Tensor(x), w, stride=2, crop=(32, 32)).data
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            if not fft:
+                assert np.array_equal(y, ref)
+            assert peak < taps_nbytes / 3, f"peak {peak} B for {taps_nbytes} B of taps (fft {fft})"
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("taps", [4, 5, 64, 65])
@@ -430,6 +495,66 @@ class TestIm2colBlocks:
         for out_len in (raw, raw + stride - 1):
             assert np.array_equal(fold(cols, stride, out_len),
                                   strided_scatter_add(cols, stride, out_len))
+
+
+class TestFftCorrelation:
+    """The FFT product of _correlate: where the size rule takes it, that it
+    keeps each segment's bits, and how far it is from the im2col product."""
+
+    @pytest.mark.parametrize("t_seg, segments, fft", [(49, 1, False), (49, 6, False),
+                                                      (50, 1, True), (50, 3, True)])
+    def test_size_rule_reads_per_segment_length(self, monkeypatch, rng, t_seg, segments, fft):
+        monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 50)
+        calls = []
+        real = ad._fft_correlate
+        monkeypatch.setattr(ad, "_fft_correlate", lambda *a: calls.append(a) or real(*a))
+        k = ad.FFT_MIN_TAPS
+        xp = rng.standard_normal((2, segments * (t_seg + k - 1)), dtype=np.float32)
+        y = ad._correlate(rng.standard_normal((3, 2 * k), dtype=np.float32), xp, k, segments)
+        assert y.shape == (3, segments * t_seg) and len(calls) == int(fft)
+
+    def test_wide_kernels_stay_on_im2col(self, monkeypatch, rng):
+        monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 1)
+        monkeypatch.setattr(ad, "_fft_correlate", None)
+        k = ad.FFT_FRAME // 2 + 2  # a frame would give fewer outputs than it has samples / 2
+        xp = rng.standard_normal((1, 300), dtype=np.float32)
+        assert ad._correlate(rng.standard_normal((1, k), dtype=np.float32), xp, k).shape == (1, 301 - k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment_cases())
+    def test_segments_match_per_segment_calls(self, case):
+        # every op's correlations on the FFT product, in float32
+        op, shapes, c_in, n_seg, length, rng = case
+        x = rng.standard_normal((c_in, n_seg * length)).astype(np.float32)
+        weights = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+
+        def run():
+            y = op(Tensor(x, segments=n_seg), *weights).data
+            return y, [op(Tensor(x[:, i * length : (i + 1) * length]), *weights).data
+                       for i in range(n_seg)]
+
+        y, per = at_fft(run)
+        assert np.array_equal(y, np.concatenate(per, axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_within_float32_bound_of_im2col(self, data):
+        rows, c = data.draw(st.integers(1, 8), label="rows"), data.draw(st.integers(1, 8), label="c")
+        k, t_seg = data.draw(st.integers(1, 9), label="k"), data.draw(st.integers(1, 80), label="t")
+        n_seg = data.draw(st.integers(1, 3), label="segments")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lp = t_seg + k - 1
+        xp = rng.standard_normal((c, n_seg * lp)).astype(np.float32)
+        w = rng.standard_normal((rows, c * k)).astype(np.float32)
+        y = at_fft(lambda: ad._fft_correlate(w, xp, k, n_seg))
+        ref = ad._im2col_matmul(w, xp, k, 1, n_seg)
+        frame = 16  # at_fft's
+        w_norms = np.linalg.norm(w.reshape(rows, c, k).astype(np.float64), axis=2)
+        # a window of 2*frame + k samples about an output holds its frame and its taps
+        scale = np.concatenate([w_norms @ window_norms(xs, frame + k)[:, :t_seg]
+                                for xs in np.split(xp, n_seg, axis=1)], axis=1)
+        bound = (fft_error_factor(c, frame) + gamma(c * k)) * scale
+        assert np.all(np.abs(y.astype(np.float64) - ref) <= bound)
 
 
 class TestTconv1d:
@@ -449,6 +574,28 @@ class TestTconv1d:
         y = ad.tconv1d(x, w, stride=2, crop=(32, 32))
         assert y.data.shape == (32, 2000)
 
+    @pytest.mark.parametrize("c_in", [64, 32], ids=["G.up.stage3.tconv", "G.up.noise3"])
+    def test_full_size_float32(self, rng, c_in):
+        # at a 1 s segment (8000 inputs), where the engine takes the FFT
+        # product, against a float64 direct sum, within the worst-case bound
+        # stated above U, with c = c_in and 33 taps a phase; each output's
+        # window reaches an FFT frame beyond its taps
+        x = rng.standard_normal((c_in, 8000), dtype=np.float32)
+        w = (rng.standard_normal((c_in, 32, 66)) / np.sqrt(c_in * 33)).astype(np.float32)
+        y = ad.tconv1d(Tensor(x), w, stride=2, crop=(32, 32)).data
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        raw = np.zeros((32, 7999 * 2 + 66))
+        for j in range(66):
+            raw[:, j : j + 7999 * 2 + 1 : 2] += w64[:, :, j].T @ x64
+        ref = raw[:, 32:-32]
+        # output n = 2q + p - 32 reads x[q - 32 .. q]
+        q = (np.arange(16000) + 32) // 2
+        reach = ad.FFT_FRAME + 33
+        scale = np.linalg.norm(w64, axis=2).T @ window_norms(x, reach)[:, np.minimum(q, 7999)]
+        bound = max(gamma(c_in * 33), fft_error_factor(c_in, ad.FFT_FRAME)) * scale
+        err = np.abs(y - ref)
+        assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
+
     def test_overlap_add(self):
         tape = Tape()
         y = ad.tconv1d(leaf(tape, [[1.0, 1.0]]), Parameter("w", [[[1.0, 1.0, 1.0]]]), stride=2)
@@ -461,6 +608,11 @@ class TestTconv1d:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):
             ad.tconv1d(Tensor(np.zeros((2, 4))), Parameter("w", np.zeros((3, 1, 2))))
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}$"):
+            ad.tconv1d(Tensor(np.zeros((1, 4))), Parameter("w", np.zeros((1, 1, 2))), stride=stride)
 
 
 class TestAdjointIdentity:

@@ -170,8 +170,8 @@ class TestGenerate:
 
 class TestGenerateSegments:
     @pytest.mark.parametrize("segment_len,n_seg,short", [
-        (1600, 1, 0), (1600, 4, 700), (1600, 10, 0), (1600, 23, 0), (528, 3, 0),
-    ], ids=["1", "4-padded", "10", "23", "3-at-528"])
+        (1600, 1, 0), (1600, 4, 700), (1600, 10, 0), (1600, 23, 0), (528, 3, 0), (8000, 3, 0),
+    ], ids=["1", "4-padded", "10", "23", "3-at-528", "3-at-8000-fft"])
     def test_equals_one_forward_per_segment(self, production, rng, segment_len, n_seg, short):
         G, _ = production
         n = n_seg * segment_len - short

@@ -1,18 +1,27 @@
-"""tools/same_outputs.py's handling of its arguments."""
+"""tools/same_outputs.py's handling of its arguments, and its --close oracle."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from abas import train
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture
-def same_outputs(monkeypatch):
+def load_same_outputs():
     spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture
+def same_outputs(monkeypatch):
+    mod = load_same_outputs()
 
     def run_side(src, run_dir, ckpt=None):  # the same one output file on either side
         run_dir.mkdir(parents=True)
@@ -37,3 +46,37 @@ def test_unusable_work_dir_exits_2(same_outputs, tmp_path, capsys):
         same_outputs.main([src, src, "--work", str(blocker / "sub")])
     assert exit_info.value.code == 2
     assert "cannot use --work" in capsys.readouterr().err
+
+
+def test_close_passes_same_tree_and_fails_a_shifted_tap(tmp_path, capsys):
+    # a checkpoint of fresh default models at segment 16000, so vocoding runs
+    # the FFT product as well as the polyphase transposed convs
+    config = train.TrainConfig(segment_len=16000, batch_size=1, seed=0)
+    G, D = train.build_models(config)
+    ckpt = tmp_path / "fresh.ckpt"
+    train.save_checkpoint(ckpt, config, G, D, train.AdamState(G.parameters()),
+                          train.AdamState(D.parameters()),
+                          np.random.default_rng(0).bit_generator.state, 0)
+    src = ROOT / "src"
+    planted = tmp_path / "planted"
+    shutil.copytree(src / "abas", planted / "abas", ignore=shutil.ignore_patterns("__pycache__"))
+    autodiff = planted / "abas" / "autodiff.py"
+    text = autodiff.read_text()
+    tap = "    w_phases[..., :k] = w_data\n"
+    assert text.count(tap) == 1
+    autodiff.write_text(text.replace(tap, "    w_phases[..., 1:k] = w_data[..., :-1]\n"))
+    mod = load_same_outputs()
+    args = ["--ckpt", str(ckpt), "--close", "--work", str(tmp_path / "work")]
+    assert mod.main([str(src), str(src), *args]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    assert mod.main([str(src), str(planted), *args]) == 1
+    out = capsys.readouterr().out
+    assert "differs: vocoded_multi_raw.wav: relative RMS" in out
+
+
+def test_close_needs_ckpt(capsys):
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        load_same_outputs().main([src, src, "--close"])
+    assert exit_info.value.code == 2
+    assert "--close needs --ckpt" in capsys.readouterr().err
