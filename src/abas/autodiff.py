@@ -22,6 +22,7 @@ value per segment, and ``batch_mean_`` averages those into a scalar loss.
 
 from __future__ import annotations
 
+import ctypes
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -33,6 +34,28 @@ from numpy.lib.stride_tricks import sliding_window_view
 # perfbench/runner.py calls pool.clear() between repetitions. The engine keeps
 # no array cache, so the call does nothing; drop this once the benchmark does.
 pool = SimpleNamespace(clear=lambda: None)
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim  # glibc only
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def release_free_memory():
+    """Give the free pages of the C heap back to the system (glibc's
+    malloc_trim; elsewhere nothing). glibc serves arrays below its dynamic
+    mmap threshold, which rises to the largest array freed so far (up to
+    32 MB), from the heap, and hands the heap's free pages back only from its
+    top, so how much of a training step's working set stays resident after it
+    hangs on which small block last landed near the top. With the default
+    model, a 3 s vocode call at segment 16000 after a desk training step that
+    left it resident peaked about 38 MB above one after a step that did not,
+    in some runs of the same calls only. train_loop and every cli command
+    call this first, so each starts from the pages in use and its peak does
+    not depend on what the process ran before."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class Parameter:

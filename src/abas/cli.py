@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, metrics
+from . import autodiff, dsp, metrics
 from .train import (
     CKPT_VERSION,
     CheckpointError,
@@ -278,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    autodiff.release_free_memory()
     try:
         return args.func(args) or 0
     except TrainDiverged as e:

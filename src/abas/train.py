@@ -465,6 +465,7 @@ def train_loop(config: TrainConfig, out_dir, resume_from=None) -> list[StepStats
     run may have left, are dropped and computed again."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    ad.release_free_memory()
 
     clips = load_corpus(config)
     residuals = residuals_for(clips, config.lpc_order, config.frame_len)

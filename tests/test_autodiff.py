@@ -1045,3 +1045,26 @@ class TestSegments:
         tape.backward(loss)
         assert (loss.item(), loss.segments) == (3.0, 1)
         np.testing.assert_array_equal(tape.grad_of(v), [[1 / 3, 1 / 3, 1 / 3]])
+
+
+def resident_mb() -> float:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(ad._MALLOC_TRIM is None, reason="needs glibc's malloc_trim")
+class TestReleaseFreeMemory:
+    def test_hands_back_free_pages_inside_the_heap(self):
+        # Freeing an 8 MB array lifts glibc's mmap threshold above 4 MB, so the
+        # 4 MB arrays come from the heap. Every other one stays alive, so the
+        # 40 MB of holes between them cannot leave from the heap's top.
+        big = np.ones(2**21, np.float32)
+        del big
+        arrays = [np.ones(2**20, np.float32) for _ in range(20)]
+        del arrays[::2]
+        before = resident_mb()
+        ad.release_free_memory()
+        assert resident_mb() < before - 20

@@ -413,6 +413,20 @@ class TestInspect:
         assert cli.main(["inspect-checkpoint", "--ckpt", str(bad)]) == 3
 
 
+def test_commands_release_free_memory_first(monkeypatch, tmp_path):
+    events = []
+
+    def read_wav(path):
+        events.append("read")
+        raise OSError("stop")
+
+    monkeypatch.setattr(cli.autodiff, "release_free_memory", lambda: events.append("release"))
+    monkeypatch.setattr(cli, "read_wav", read_wav)
+    rc = cli.main(["lpc", "--in", str(tmp_path / "a.wav"), "--emit", "residual",
+                   "--out", str(tmp_path / "b.wav")])
+    assert (rc, events) == (3, ["release", "read"])
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

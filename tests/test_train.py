@@ -891,6 +891,19 @@ class TestConditioningScale:
 
 
 class TestTrainLoop:
+    def test_releases_free_memory_first(self, monkeypatch, tmp_path):
+        events = []
+
+        def load_corpus(config):
+            events.append("corpus")
+            raise _Stop
+
+        monkeypatch.setattr(ad, "release_free_memory", lambda: events.append("release"))
+        monkeypatch.setattr(T, "load_corpus", load_corpus)
+        with pytest.raises(_Stop):
+            T.train_loop(T.TrainConfig(), tmp_path)
+        assert events == ["release", "corpus"]
+
     def test_csv_and_checkpoints(self, tmp_path):
         cfg = T.TrainConfig(
             batch_size=2, segment_len=528, steps=4, seed=5, checkpoint_every=2,
