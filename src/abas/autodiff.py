@@ -23,6 +23,7 @@ value per segment, and ``batch_mean_`` averages those into a scalar loss.
 from __future__ import annotations
 
 import ctypes
+import functools
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -312,46 +313,57 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution kernels
 #
-# All heavy work routes through GEMMs. Every forward correlation of a weight
-# matrix with a padded input goes through _correlate, whose size rule picks
-# the lowering. By default it multiplies the weights with the (c_in*k, T)
-# im2col matrix of the padded input, built one column block at a time in one
-# reused buffer, so the whole matrix (k times the input) never exists. A
-# stride-1 correlation whose segments give at least FFT_MIN_COLUMNS outputs
-# each, with a kernel of FFT_MIN_TAPS to FFT_FRAME/2 + 1 taps, is an
-# overlap-save FFT product instead (_fft_correlate): rfft of FFT_FRAME-sample frames, one
-# complex GEMM per frequency bin, irfft. conv1d, the gated conv and the
-# transposed conv all call _correlate. A transposed conv is stride
-# correlations of its zero-padded input, one per phase of its output (the
-# kernel's taps p, p + stride, ...), stacked into one weight matrix and
-# interleaved (polyphase), so it needs no fold. A conv pads inside itself
-# (_pad, zero or reflect) and its tape keeps the unpadded input; backward
-# pads it again and always runs on im2col, in the same column blocks: each
-# block rebuilds its slice of the im2col matrix for the weight gradient,
-# which sums over the blocks (_im2col_wgrad), and the input gradient's GEMM
-# is folded back block by block (_matmul_fold), then through the pad's
-# adjoint (_unpad). A stride-1 conv that narrows (c_out < c_in) instead lowers
-# on the output side: one GEMM gives every tap's contribution at every
-# position, a (c_out*k, L) matrix, and a sum along its diagonals gives the
-# output; its backward works, block by block, on the im2col of the (c_out, T)
-# output gradient. That keeps a 64 -> 1 channel conv from copying its input k
-# times. A transposed conv's backward is the im2col lowering of its padded
-# output gradient, blocked alike. Cross-correlation convention throughout: no
-# kernel flip.
+# All heavy work routes through GEMMs. Every stride-1 correlation of a
+# weight matrix with a padded signal goes through _correlate, whose size rule
+# (_fft_pays) picks the lowering. By default it multiplies the weights with
+# the (c_in*k, T) im2col matrix of the padded input, built one column block at
+# a time in one reused buffer, so the whole matrix (k times the input) never
+# exists. A correlation of FFT_MIN_TAPS to FFT_FRAME/2 + 1 taps whose
+# segments give at least FFT_MIN_COLUMNS outputs each at 65 taps, and
+# proportionally more at fewer taps, is an overlap-save FFT product instead
+# (_fft_correlate): the kernels' spectra from one GEMM with the DFT's rows,
+# rfft of FFT_FRAME-sample frames, one complex GEMM per frequency bin, irfft.
+# conv1d, the gated conv and the transposed conv all call _correlate. A
+# transposed conv is stride correlations of its zero-padded input, one per
+# phase of its output (the kernel's taps p, p + stride, ...), stacked into one
+# weight matrix and interleaved (polyphase), so it needs no fold. A conv pads
+# inside itself (_pad, zero or reflect) and its tape keeps the unpadded input;
+# backward pads it again. The input gradient of a stride-1 conv or gated conv
+# is itself a correlation, of the output gradient zero-padded by k - 1 with
+# the flipped, transposed kernels (_correlate_adjoint): where the size rule
+# takes its outputs to the FFT product it goes through _correlate, and
+# otherwise, as for a strided conv, the GEMM of the transposed weights with
+# the output gradient is folded back block by block (_matmul_fold). Then
+# the pad's adjoint (_unpad) applies. The weight gradient (_wgrad) is the FFT
+# product where the rule takes all its columns, of every segment, to it
+# (FFT_MIN_WGRAD_COLUMNS; _fft_wgrad: per bin, one complex GEMM of the output
+# gradient's frame spectra with the input's sums over frames, and irfft gives
+# the k lags), and otherwise runs in the forward's column blocks, each
+# rebuilding its slice of the im2col matrix (_im2col_wgrad). A stride-1 conv
+# that narrows (c_out < c_in) instead lowers on the output side: one GEMM
+# gives every tap's contribution at every position, a (c_out*k, L) matrix,
+# and a sum along its diagonals gives the output; its backward works, block
+# by block, on the im2col of the (c_out, T) output gradient. That keeps a
+# 64 -> 1 channel conv from copying its input k times. A transposed conv's
+# backward is the im2col lowering of its padded output gradient, blocked
+# alike. Cross-correlation convention throughout: no kernel flip.
 #
 # On a multi-segment tensor every pad, window, diagonal sum, fold and FFT
-# frame stays inside its segment. The size rule reads the per-segment length,
-# never the segment count, so a segment takes the same lowering side by side
-# as alone. One rule (_plan) picks each im2col GEMM's columns: blocks that
-# run across segment edges, or, where a one-segment call's GEMM would be
-# small, blocks of each segment on its own. Each output column is then the
-# same dot product, over the same operands, as in a call on its segment
-# alone, and in float32 it has the same bits: above SMALL_GEMM_MACS,
-# OpenBLAS's sgemm sums a column alike wherever it sits in the product. The
-# FFT product runs each segment on its own, in the same frame chunks and the
-# same per-bin GEMMs as a call on that segment alone. A weight gradient sums
-# over all the columns of all segments, so it is the sum of the per-segment
-# gradients up to rounding.
+# frame of a forward or an input gradient stays inside its segment. The size
+# rule of _correlate reads the per-segment length, never the segment count,
+# so a segment takes the same lowering side by side as alone. One rule
+# (_plan) picks each im2col GEMM's columns: blocks that run across segment
+# edges, or, where a one-segment call's GEMM would be small, blocks of each
+# segment on its own. Each output column is then the same dot product, over
+# the same operands, as in a call on its segment alone, and in float32 it has
+# the same bits: above SMALL_GEMM_MACS, OpenBLAS's sgemm sums a column alike
+# wherever it sits in the product. The FFT product runs each segment on its
+# own, in the same frame chunks and the same per-bin GEMMs as a call on that
+# segment alone (its per-bin GEMMs are small, and batching the frames of all
+# segments into one changed each segment's bits). A weight gradient sums over
+# all the columns of all segments, so it is the sum of the per-segment
+# gradients up to rounding, and its rule and its FFT frames may run across
+# segments.
 
 # Output columns per GEMM of the blocked products. The blocked product is
 # bit-identical to the one-GEMM product only while OpenBLAS takes the same
@@ -368,14 +380,19 @@ IM2COL_BLOCK = 1024
 # _plan blocks each segment on its own instead of across segments.
 SMALL_GEMM_MACS = 100**3
 
-# The size rule of _correlate: the outputs per segment, and the fewest
-# kernel taps, from which a stride-1 correlation is an FFT product rather
-# than an im2col GEMM (see _fft_correlate for the crossover measured). The
-# FFT product's frames are FFT_FRAME samples and run FFT_CHUNK at a time.
-FFT_MIN_COLUMNS = 2000
+# The size rule (_fft_pays): the outputs per segment of a correlation of
+# FFT_FRAME/2 + 1 taps from which it is an FFT product rather than an im2col
+# GEMM (proportionally more at fewer taps, down to FFT_MIN_TAPS), and the
+# columns of all segments from which a weight gradient is; see _correlate for
+# the crossover measured. The FFT product's frames are FFT_FRAME samples and
+# run FFT_CHUNK at a time in a forward or input gradient, WGRAD_FRAMES at a
+# time in a weight gradient.
+FFT_MIN_COLUMNS = 400
+FFT_MIN_WGRAD_COLUMNS = 1600
 FFT_MIN_TAPS = 32
 FFT_FRAME = 128
 FFT_CHUNK = 32
+WGRAD_FRAMES = 128
 
 
 def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0):
@@ -474,51 +491,91 @@ def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int,
     return y
 
 
+def _fft_pays(columns: int, k: int, least: int | None = None) -> bool:
+    """The size rule of the FFT product: whether a stride-1 correlation of k
+    taps over columns outputs takes it, which it does from least
+    (FFT_MIN_COLUMNS) outputs at FFT_FRAME/2 + 1 taps, and from
+    proportionally more at fewer taps, down to FFT_MIN_TAPS."""
+    least = FFT_MIN_COLUMNS if least is None else least
+    return FFT_MIN_TAPS <= k <= FFT_FRAME // 2 + 1 and columns * k >= least * (FFT_FRAME // 2 + 1)
+
+
 def _correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1,
                stride: int = 1) -> np.ndarray:
     """w_mat (R, c*k) correlated with each segment of xp (c, S*Lp) at stride:
-    (R, S*T), T outputs a segment. The blocked im2col product, or where a
-    stride-1 segment gives FFT_MIN_COLUMNS outputs or more and the kernel has
-    FFT_MIN_TAPS to FFT_FRAME/2 + 1 taps (so a frame gives at least half its
-    samples as outputs), the FFT product. The rule reads only per-segment
-    sizes, so each segment's outputs have the bits of a call on it alone."""
+    (R, S*T), T outputs a segment. The blocked im2col product, or where the
+    size rule (_fft_pays) takes a stride-1 segment's T outputs to it, the FFT
+    product. The rule reads only T and k, so each segment's outputs have the
+    bits of a call on it alone.
+
+    Crossover, im2col (or fold) against FFT product, times faster (2 cores,
+    2 BLAS threads, float32, medians of 15 calls), by outputs a segment T and
+    segments S:
+    - up-stage gated pair (64 rows, 32 channels, k 65): T 200: 1.1x at S 8;
+      T 400: 1.1x at S 2, 1.5x at S 8; T 800: 1.8x / 2.3x; T 1600: 2.8x at S 8.
+    - decoder gated pair (128 rows, 64 channels, k 65): T 100, where it trains
+      at segment 1600: 0.55x at S 2, 0.97x at S 8, so the rule keeps it on
+      im2col; T 1000, where it vocodes at segment 16000: 1.7x at S 1.
+    - transposed convs' phases (64 rows, 64 channels, 33 taps): T 400: 0.85x
+      at S 2, 1.3x at S 8; T 800: 1.7x / 2.4x; T 1000: 1.1x at S 1; the noise
+      branch's (32 channels) 0.86x at T 1000, S 1, 1.1x at T 800, S 8.
+    - up-stage gated input gradient (32 rows, 64 channels; T + 64 outputs)
+      against _matmul_fold: T 200: 1.0x at S 2, 1.3x at S 8; T 400: 2.0x /
+      2.8x; T 1600: 4.8x at S 8. The decoder's at T 100: 0.5-0.65x.
+    Hence FFT_MIN_COLUMNS 400 at 65 taps, and so about 790 at 33. A 3 s
+    generate_segments at segment 16000 (default model, in-process medians of
+    10) took 413 ms with this rule and 473 ms with the FFT product only from
+    2000 outputs."""
     t_seg = xp.shape[1] // segments - k + 1
-    if stride == 1 and t_seg >= FFT_MIN_COLUMNS and FFT_MIN_TAPS <= k <= FFT_FRAME // 2 + 1:
+    if stride == 1 and _fft_pays(t_seg, k):
         return _fft_correlate(w_mat, xp, k, segments)
     return _im2col_matmul(w_mat, xp, k, stride, segments)
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_rows(n: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """(2*(n//2 + 1), k): cos then sin of 2*pi*b*j/n for bin b and tap j, the
+    real and imaginary rows of the conjugate DFT of k taps."""
+    angle = 2 * np.pi / n * (np.outer(np.arange(n // 2 + 1), np.arange(k)) % n)
+    return np.concatenate([np.cos(angle), np.sin(angle)]).astype(dtype)
+
+
+def _kernel_spectra(w_mat: np.ndarray, c: int, k: int) -> np.ndarray:
+    """The conjugate spectra over FFT_FRAME samples of the kernels w_mat (R,
+    c*k), bin-major (bins, R, c): one GEMM of the taps with _dft_rows. The
+    conjugate turns the FFT's circular convolution into correlation. At k up
+    to FFT_FRAME/2 + 1 taps the GEMM costs a third of rfft's strided
+    transforms of the zero-filled kernels: 1.3 against 3-5 ms for the
+    decoder's 128 x 64 kernels (2 cores)."""
+    rows, bins = w_mat.shape[0], FFT_FRAME // 2 + 1
+    p = (_dft_rows(FFT_FRAME, k, w_mat.dtype) @ w_mat.reshape(rows * c, k).T).reshape(2, bins, rows, c)
+    w_f = np.empty((bins, rows, c), np.result_type(w_mat, np.complex64))
+    w_f.real, w_f.imag = p
+    return w_f
 
 
 def _fft_correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1) -> np.ndarray:
     """The stride-1 _correlate as an overlap-save FFT product: each frame of
     FFT_FRAME input samples gives FFT_FRAME - k + 1 outputs, which the circular
-    correlation with the kernel leaves unwrapped. Frames are transformed
-    FFT_CHUNK at a time; per frequency bin, one complex GEMM of the kernels'
-    conjugate spectra (R, c) with the frames' spectra (c, frames) sums over
-    channels; irfft returns each frame's outputs. Each segment runs on its
-    own, in chunks counted from its first output, so its outputs have the
+    correlation with the kernel leaves unwrapped. The kernels' conjugate
+    spectra come from _kernel_spectra; frames are transformed FFT_CHUNK at a
+    time; per frequency bin, one complex GEMM of the kernels' spectra (R, c)
+    with the frames' spectra (c, frames) sums over channels; irfft returns
+    each frame's outputs, which are written once, into a (rows, frames, hop)
+    view of the output. The transforms run along the first axis, so the
+    spectra come out bin-major, as the GEMMs take them. Each segment runs on
+    its own, in chunks counted from its first output, so its outputs have the
     bits of a call on it alone. Its working memory stays below that of the
-    im2col product it replaces: 5.8-7.4 MB against 7.8-15.7 MB with the
-    upsampler's shapes at a 1 s segment (tracemalloc).
-
-    Against the blocked im2col GEMM (2 cores, 2 BLAS threads, float32,
-    medians of 15 calls) at 2000 / 4000 outputs a segment, it ran the
-    upsampler's gated convs (64 rows, 32 channels, k 65) at 1.5x / 1.9x; at
-    1000 / 2000 / 4000, its polyphase transposed convs (64 rows, 64 or 32 channels, k 33)
-    at 0.7x / 1.0-1.2x / 1.3-1.8x, and the decoder's gated convs (128 rows,
-    64 channels, k 65) at 1.1x at 1000, the length they run at when
-    vocoding. At 8000 outputs it lost with 9 taps (0.4-0.7x) and broke even
-    with 17. One generate_segments call on 3 s at segment 16000 (default
-    model, medians of 15) took 548 ms with the FFT product from 2000
-    outputs, 604 ms from 4000, and 728 ms without it."""
+    im2col product it replaces (4.8-6.4 MB against 7.8-15.7 MB beyond the
+    output with the upsampler's shapes at a 1 s segment, tracemalloc)."""
     rows, c = w_mat.shape[0], xp.shape[0]
     n = FFT_FRAME
     hop = n - k + 1
-    lp = xp.shape[1] // segments
-    t_seg = lp - k + 1
-    # the conjugate spectrum turns the FFT's circular convolution into correlation
-    w_f = np.conj(scipy.fft.rfft(w_mat.reshape(rows, c, k), n, axis=-1))
-    w_f = np.ascontiguousarray(w_f.transpose(2, 0, 1))  # (bins, R, c)
-    y = np.empty((rows, segments, t_seg), np.result_type(w_mat, xp))
+    t_seg = xp.shape[1] // segments - k + 1
+    dtype = np.result_type(w_mat, xp)  # both transformed in it, as im2col multiplies in it
+    xp = xp.astype(dtype, copy=False)
+    w_f = _kernel_spectra(w_mat.astype(dtype, copy=False), c, k)
+    y = np.empty((rows, segments, t_seg), dtype)
     x = _split(xp, segments)
     span = hop * FFT_CHUNK  # outputs per chunk
     for s in range(segments):
@@ -529,11 +586,80 @@ def _fft_correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1)
             xs = x[:, s, t0 : t0 + need]
             if xs.shape[1] < need:  # the last frame runs past the segment
                 xs = np.concatenate([xs, np.zeros((c, need - xs.shape[1]), xs.dtype)], axis=1)
-            x_f = scipy.fft.rfft(sliding_window_view(xs, n, axis=1)[:, ::hop], axis=-1)
-            y_f = np.matmul(w_f, np.ascontiguousarray(x_f.transpose(2, 0, 1)))  # (bins, R, frames)
-            out = scipy.fft.irfft(np.ascontiguousarray(y_f.transpose(1, 2, 0)), n, axis=-1)
-            y[:, s, t0:t1] = out[:, :, :hop].reshape(rows, -1)[:, : t1 - t0]
+            x_f = scipy.fft.rfft(sliding_window_view(xs, n, axis=1)[:, ::hop].transpose(2, 0, 1),
+                                 axis=0)  # (bins, c, frames)
+            out = scipy.fft.irfft(np.matmul(w_f, x_f), n, axis=0)  # (n, R, frames)
+            full, rest = divmod(t1 - t0, hop)
+            y[:, s, t0 : t0 + full * hop].reshape(rows, full, hop)[...] = (
+                out[:hop, :, :full].transpose(1, 2, 0))
+            if rest:
+                y[:, s, t1 - rest : t1] = out[:rest, :, full].T
     return _join(y)
+
+
+def _correlate_adjoint(w_mat: np.ndarray, g: np.ndarray, k: int, out_len: int,
+                       segments: int = 1, stride: int = 1) -> np.ndarray:
+    """The input gradient (c, S, out_len) of _correlate(w_mat, xp, k,
+    segments, stride) for the output gradient g (R, S*T). At stride 1 it is
+    itself a correlation: of g, zero-padded by k - 1 on each side, with the
+    kernels flipped and transposed, (c, R*k), so where the size rule takes
+    out_len outputs to the FFT product it goes through _correlate; otherwise
+    it is the GEMM of the transposed weights folded back (_matmul_fold)."""
+    if stride == 1 and _fft_pays(out_len, k):
+        c = w_mat.shape[1] // k
+        w_flip = w_mat.reshape(-1, c, k)[:, :, ::-1].transpose(1, 0, 2).reshape(c, -1)
+        return _split(_correlate(w_flip, _pad(g, segments, k - 1, k - 1), k, segments), segments)
+    return _matmul_fold(w_mat.T, g, k, stride, out_len, segments)
+
+
+def _fft_wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1) -> np.ndarray:
+    """The weight gradient of a stride-1 correlation as an FFT product: a
+    (R, S*T) times the transposed im2col matrices of the segments of xp
+    (c, S*(T + k - 1)), (R, c*k). a is cut into frames of hop = FFT_FRAME -
+    k + 1 columns, zero-filled to FFT_FRAME samples, and xp into the
+    FFT_FRAME-sample frames that start at the same columns; the circular
+    correlation of two such frames holds the frame's share of every one of
+    the k lags unwrapped. Both are laid out with P = frames * hop >= T + k -
+    1 columns a segment, zero past its own, so that the frames of every
+    segment lie hop apart along one axis: a frame of xp may run into the next
+    segment's columns, but only where a's frame is zero. Per frequency bin,
+    one complex GEMM of a's conjugate frame spectra (R, m) with xp's (m, c)
+    sums over WGRAD_FRAMES frames at a time, across segments, and one irfft
+    of the sum gives the lags. Against _im2col_wgrad (as in _correlate) for
+    the up-stage gated pair's stacked weights: 400 columns (S 2 x T 200)
+    0.7x, 800 (2 x 400) and 1600 (8 x 200) 1.0x, 1600 (2 x 800) 1.5x, 12800
+    (8 x 1600) 2.4x; the decoder's, 800 (8 x 100) 0.85x, 1600 (8 x 200)
+    1.06x; hence FFT_MIN_WGRAD_COLUMNS 1600."""
+    rows, c = a.shape[0], xp.shape[0]
+    n = FFT_FRAME
+    hop = n - k + 1
+    t_seg = a.shape[1] // segments
+    frames = -(-(t_seg + n - hop) // hop)  # a segment's
+    dtype = np.result_type(a, xp)
+    ap = np.zeros((rows, segments, frames * hop), dtype)
+    ap[..., :t_seg] = _split(a, segments)
+    xs = np.zeros((c, segments * frames * hop + n - hop), dtype)
+    xs[:, : segments * frames * hop].reshape(c, segments, -1)[..., : t_seg + k - 1] = (
+        _split(xp, segments))
+    a_frames = ap.reshape(rows, -1, hop).transpose(2, 0, 1)  # (hop, R, S*frames)
+    x_frames = sliding_window_view(xs, n, axis=1)[:, ::hop].transpose(2, 1, 0)  # (n, S*frames, c)
+    acc = np.zeros((n // 2 + 1, rows, c), np.result_type(dtype, np.complex64))
+    for f0 in range(0, segments * frames, WGRAD_FRAMES):
+        f1 = f0 + WGRAD_FRAMES
+        a_f = scipy.fft.rfft(a_frames[..., f0:f1], n, axis=0)  # (bins, R, m)
+        acc += np.matmul(np.conjugate(a_f, out=a_f), scipy.fft.rfft(x_frames[:, f0:f1], axis=0))
+    gw = scipy.fft.irfft(acc, n, axis=0)[:k]  # (k, R, c)
+    return gw.transpose(1, 2, 0).reshape(rows, c * k)
+
+
+def _wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1, stride: int = 1) -> np.ndarray:
+    """The weight gradient (R, c*k) of _correlate(w_mat, xp, k, segments,
+    stride) for the output gradient a (R, S*T): the FFT product where the
+    size rule takes all S*T columns to it with FFT_MIN_WGRAD_COLUMNS, as a
+    sum over segments may, or else the blocked im2col product."""
+    if stride == 1 and _fft_pays(a.shape[1], k, FFT_MIN_WGRAD_COLUMNS):
+        return _fft_wgrad(a, xp, k, segments)
+    return _im2col_wgrad(a, xp, k, stride, segments)[0]
 
 
 def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int,
@@ -567,8 +693,9 @@ def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: 
                  segments: int = 1) -> np.ndarray:
     """w_t @ xd, (C*k, S*L) taps, folded with stride into (C, S, out_len): tap j
     of input column t adds to output t*stride + j of its segment. That is the
-    input gradient of a conv or a gated conv (the adjoint of im2col); a
-    transposed conv's forward is polyphase instead (see tconv1d). The GEMM
+    input gradient of a strided conv, and of a stride-1 conv or gated conv
+    whose outputs the size rule keeps off the FFT product (see
+    _correlate_adjoint): the adjoint of im2col. The GEMM
     runs one block of _plan at a time, so the taps of a
     whole 1 s signal never exist at once; where an IM2COL_BLOCK-wide block
     would be small, the plan's blocks are whole segments. Blocks run last
@@ -616,7 +743,10 @@ def conv1d(
     gradients are GEMMs with the im2col of the zero-padded output gradient.
     Every other conv is the correlation of the weights with the padded input
     (_correlate): a GEMM with its im2col matrix, or at stride 1 with a long
-    segment and a wide kernel, an FFT product.
+    segment and a wide kernel, an FFT product. Its input gradient is
+    _correlate_adjoint (at stride 1 a correlation of the padded output
+    gradient, on the FFT product where the size rule takes it) and its
+    weight gradient _wgrad.
     """
     if pad_mode not in ("zero", "reflect"):
         raise ValueError(f"unknown pad_mode {pad_mode!r}")
@@ -672,9 +802,9 @@ def conv1d(
             gx = _split(gx, n_seg)
         else:
             if w_id >= 0:
-                gw, _ = _im2col_wgrad(g, _pad(xd, n_seg, pl, pr, pad_mode), k, stride, n_seg)
+                gw = _wgrad(g, _pad(xd, n_seg, pl, pr, pad_mode), k, n_seg, stride)
                 out.append((w_id, gw.reshape(w_data.shape)))
-            gx = _matmul_fold(w_mat.T, g, k, stride, lp, n_seg)
+            gx = _correlate_adjoint(w_mat, g, k, lp, n_seg, stride)
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
         out.append((x_id, _unpad(gx, pl, pr, pad_mode)))
@@ -767,8 +897,13 @@ def gated_conv_pair(
     The filter and gate convolutions share one reflect pad and one
     correlation (_correlate: the blocked im2col product, or at long segments
     the FFT product), with their weights stacked into one weight matrix,
-    which matters because gated layers dominate the generator's cost;
-    backward runs in im2col blocks. The tape keeps the
+    which matters because gated layers dominate the generator's cost.
+    Backward takes the stacked weights too: one input gradient
+    (_correlate_adjoint) and one weight gradient (_wgrad), each on the FFT
+    product where the size rule takes it (the upsampler's from 400 outputs a
+    segment, and its weight gradients from 1600 columns in all; the
+    decoder's stay on im2col when training at segment 1600, at 100 outputs a
+    segment and at most 10 segments a forward). The tape keeps the
     unpadded input, the output, tanh(filter) and the gate's softmax or
     sigmoid. Produces the exact values of the equivalent op composition
     (GEMM rows are independent), with the softmax gate composed as
@@ -821,7 +956,7 @@ def gated_conv_pair(
         del gate, d_yf, d_gate, d_yg  # not alive beside the blocks' column buffer
         out = []
         if wf_id >= 0 or wg_id >= 0:
-            gw_stack, _ = _im2col_wgrad(d_stack, _pad(xd, n_seg, pad, pad, "reflect"), k, 1, n_seg)
+            gw_stack = _wgrad(d_stack, _pad(xd, n_seg, pad, pad, "reflect"), k, n_seg)
             if wf_id >= 0:
                 out.append((wf_id, gw_stack[:c_out].reshape(wf.shape)))
             if wg_id >= 0:
@@ -830,7 +965,7 @@ def gated_conv_pair(
             out.append((bf_id, d_stack[:c_out].sum(axis=1)))
         if bg_id >= 0:
             out.append((bg_id, d_stack[c_out:].sum(axis=1)))
-        gxp = _matmul_fold(w_stack.T, d_stack, k, 1, length + 2 * pad, n_seg)
+        gxp = _correlate_adjoint(w_stack, d_stack, k, length + 2 * pad, n_seg)
         out.append((x_id, _unpad(gxp, pad, pad, "reflect")))
         return out
 

@@ -155,20 +155,24 @@ class TestConv1dProperties:
     @settings(max_examples=150, deadline=None)
     @given(conv_cases())
     def test_gradients_are_adjoints(self, case):
-        # conv1d is linear in x and in w: <J d, g> = <d, J^T g> for each
-        x, w, _, stride, pad, pad_mode, rng = case
-        wp = Parameter("w", w)
-        tape = Tape()
-        xt = tape.tensor(x)
-        y = ad.conv1d(xt, wp, None, stride, pad, pad_mode)
-        g = rng.standard_normal(y.data.shape)
-        tape.backward(ad.scale_(ad.mean_(ad.mul_(y, Tensor(g))), g.size))  # loss = <y, g>
-        dx, dw = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
-        jx = ad.conv1d(Tensor(dx), Parameter("w", w), None, stride, pad, pad_mode).data
-        jw = ad.conv1d(Tensor(x), Parameter("dw", dw), None, stride, pad, pad_mode).data
-        assert float(np.vdot(jx, g)) == pytest.approx(
-            float(np.vdot(dx, tape.grad_of(xt))), rel=1e-10, abs=1e-10)
-        assert float(np.vdot(jw, g)) == pytest.approx(float(np.vdot(dw, wp.grad)), rel=1e-10, abs=1e-10)
+        check_conv_adjoints(case)
+
+
+def check_conv_adjoints(case):
+    """conv1d is linear in x and in w: <J d, g> = <d, J^T g> for each."""
+    x, w, _, stride, pad, pad_mode, rng = case
+    wp = Parameter("w", w)
+    tape = Tape()
+    xt = tape.tensor(x)
+    y = ad.conv1d(xt, wp, None, stride, pad, pad_mode)
+    g = rng.standard_normal(y.data.shape)
+    tape.backward(ad.scale_(ad.mean_(ad.mul_(y, Tensor(g))), g.size))  # loss = <y, g>
+    dx, dw = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+    jx = ad.conv1d(Tensor(dx), Parameter("w", w), None, stride, pad, pad_mode).data
+    jw = ad.conv1d(Tensor(x), Parameter("dw", dw), None, stride, pad, pad_mode).data
+    assert float(np.vdot(jx, g)) == pytest.approx(
+        float(np.vdot(dx, tape.grad_of(xt))), rel=1e-10, abs=1e-10)
+    assert float(np.vdot(jw, g)) == pytest.approx(float(np.vdot(dw, wp.grad)), rel=1e-10, abs=1e-10)
 
 
 # Narrowest im2col block width on the GEMM kernels' column grid (8 columns
@@ -195,11 +199,17 @@ def at_block_width(width, fn):
 #   most eps = log2(N) eta / (1 - log2(N) eta), eta = U + gamma(4) (sqrt(2) + U)
 #   with twiddle factors correct to U (Higham 2002, Thm 24.2); each bin's
 #   complex sum over c channels errs by sqrt(2) gamma(c + 2) of its terms.
-#   Through the frame's transform, the kernel's transform, the per-bin sums
-#   and the inverse transform (1/sqrt(N) in 2-norm, |W|_inf <= |w|_1 <=
-#   sqrt(N) |w|_2), the error of one frame's outputs has 2-norm at most
-#   (3 eps + sqrt(2) gamma(c + 2)) sqrt(N) sum_c |w_c|_2 |x_c|_2, x_c the
-#   frame, and so does each output of it.
+#   The kernel's spectrum is a GEMM of its k taps with the DFT's cos and sin
+#   rows (correct to U), so each bin errs by at most sqrt(2) gamma(k + 1)
+#   |w|_1, and the whole spectrum by sqrt(2 N k) gamma(k + 1) |w|_2 in 2-norm,
+#   where an FFT would give eps sqrt(N) |w|_2. Through the frame's transform,
+#   the kernel's spectrum, the per-bin sums and the inverse transform
+#   (1/sqrt(N) in 2-norm, |W|_inf <= |w|_1 <= sqrt(N) |w|_2), the error of
+#   one frame's outputs has 2-norm at most
+#   (2 eps + sqrt(2 k) gamma(k + 1) + sqrt(2) gamma(c + 2)) sqrt(N) sum_c |w_c|_2 |x_c|_2,
+#   x_c the frame, and so does each output of it. A weight gradient
+#   transforms both of its operands' frames by FFT: 3 eps in place of the
+#   first two terms, with the sum over frames in place of the one over c.
 U = 2.0**-24
 
 
@@ -207,10 +217,13 @@ def gamma(n):
     return n * U / (1 - n * U)
 
 
-def fft_error_factor(c, frame):
+def fft_error_factor(c, frame, k=None):
+    """The factor above, for a sum over c terms a bin; without k, both
+    operands' spectra are FFTs (a weight gradient's)."""
     eta = U + gamma(4) * (np.sqrt(2) + U)
     eps = np.log2(frame) * eta / (1 - np.log2(frame) * eta)
-    return (3 * eps + np.sqrt(2) * gamma(c + 2)) * np.sqrt(frame)
+    kernel = eps if k is None else np.sqrt(2 * k) * gamma(k + 1)
+    return (2 * eps + kernel + np.sqrt(2) * gamma(c + 2)) * np.sqrt(frame)
 
 
 def window_norms(x, reach):
@@ -221,14 +234,17 @@ def window_norms(x, reach):
 
 
 def at_fft(fn, frame=16, chunk=2):
-    """fn() with every stride-1 correlation of up to frame/2 + 1 taps on the
-    FFT product, in frames of `frame` samples, `chunk` frames at a time, so
-    that short signals span several frames and chunks."""
+    """fn() with every stride-1 correlation of up to frame/2 + 1 taps, and
+    its input and weight gradients, on the FFT product, in frames of `frame`
+    samples, `chunk` frames at a time (3 for a weight gradient), so that
+    short signals span several frames and chunks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad, "FFT_MIN_COLUMNS", 1)
+        mp.setattr(ad, "FFT_MIN_COLUMNS", 0)
+        mp.setattr(ad, "FFT_MIN_WGRAD_COLUMNS", 0)
         mp.setattr(ad, "FFT_MIN_TAPS", 1)
         mp.setattr(ad, "FFT_FRAME", frame)
         mp.setattr(ad, "FFT_CHUNK", chunk)
+        mp.setattr(ad, "WGRAD_FRAMES", 3)
         return fn()
 
 
@@ -354,6 +370,32 @@ def gated_run(x, weights, pad, gate, g):
     return (y.data, tape.grad_of(xt), *(p.grad for p in params))
 
 
+def check_taped_segments(case, lowering=lambda fn: fn()):
+    """test_taped_segments_match_per_segment_tapes, with every call run
+    through lowering."""
+    op, shapes, c_in, n_seg, length, rng = case
+    x = rng.standard_normal((c_in, n_seg * length))
+    weights = [rng.standard_normal(shape) for shape in shapes]
+    for wide in (False, True):
+        def run():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "IM2COL_BLOCK", SMALL_BLOCK)
+                if wide:
+                    mp.setattr(ad, "SMALL_GEMM_MACS", 0)
+                y, g_out, grads = taped_run(op, x, weights, n_seg, rng)
+                per = [taped_run(op, x[:, i * length : (i + 1) * length], weights, 1, g)
+                       for i, g in enumerate(np.split(g_out, n_seg, axis=1))]
+            return y, grads, per
+
+        y, grads, per = lowering(run)
+        if not wide:
+            assert np.array_equal(y, np.concatenate([p[0] for p in per], axis=1))
+        want = [np.concatenate([p[2][0] for p in per], axis=1)]
+        want += [sum(p[2][j] for p in per) for j in range(1, len(grads))]
+        for got, ref in zip(grads, want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestIm2colBlocks:
     """The blocked im2col product gives the bits of the one-GEMM product."""
 
@@ -425,23 +467,7 @@ class TestIm2colBlocks:
         for bit, and the sums of their gradients up to rounding, in float64:
         as the engine runs, and with every GEMM wide and every backward
         blocked in SMALL_BLOCK columns, so that blocks cross segment edges."""
-        op, shapes, c_in, n_seg, length, rng = case
-        x = rng.standard_normal((c_in, n_seg * length))
-        weights = [rng.standard_normal(shape) for shape in shapes]
-        for wide in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ad, "IM2COL_BLOCK", SMALL_BLOCK)
-                if wide:
-                    mp.setattr(ad, "SMALL_GEMM_MACS", 0)
-                y, g_out, grads = taped_run(op, x, weights, n_seg, rng)
-                per = [taped_run(op, x[:, i * length : (i + 1) * length], weights, 1, g)
-                       for i, g in enumerate(np.split(g_out, n_seg, axis=1))]
-            if not wide:
-                assert np.array_equal(y, np.concatenate([p[0] for p in per], axis=1))
-            want = [np.concatenate([p[2][0] for p in per], axis=1)]
-            want += [sum(p[2][j] for p in per) for j in range(1, len(grads))]
-            for got, ref in zip(grads, want):
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        check_taped_segments(case)
 
     def test_full_size_segments_float32(self, rng):
         # G.enc.down0 at segment 528 (its one-segment GEMM is small, so each
@@ -508,10 +534,29 @@ class TestFftCorrelation:
         calls = []
         real = ad._fft_correlate
         monkeypatch.setattr(ad, "_fft_correlate", lambda *a: calls.append(a) or real(*a))
-        k = ad.FFT_MIN_TAPS
+        k = ad.FFT_FRAME // 2 + 1
         xp = rng.standard_normal((2, segments * (t_seg + k - 1)), dtype=np.float32)
         y = ad._correlate(rng.standard_normal((3, 2 * k), dtype=np.float32), xp, k, segments)
         assert y.shape == (3, segments * t_seg) and len(calls) == int(fft)
+
+    @pytest.mark.parametrize("k, t_seg, fft", [(65, 49, False), (65, 50, True), (33, 98, False),
+                                               (33, 99, True), (31, 10**4, False)])
+    def test_size_rule_scales_with_taps(self, monkeypatch, k, t_seg, fft):
+        # from FFT_MIN_COLUMNS outputs at 65 taps, from 65/k times as many at k taps
+        monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 50)
+        assert ad._fft_pays(t_seg, k) == fft
+
+    @pytest.mark.parametrize("t_seg, segments, fft", [(33, 3, False), (25, 4, True), (100, 1, True)])
+    def test_weight_gradient_rule_reads_all_columns(self, monkeypatch, rng, t_seg, segments, fft):
+        # a weight gradient sums over segments, so its rule reads them all
+        monkeypatch.setattr(ad, "FFT_MIN_WGRAD_COLUMNS", 100)
+        calls = []
+        real = ad._fft_wgrad
+        monkeypatch.setattr(ad, "_fft_wgrad", lambda *a: calls.append(a) or real(*a))
+        k = ad.FFT_FRAME // 2 + 1
+        a = rng.standard_normal((3, segments * t_seg), dtype=np.float32)
+        xp = rng.standard_normal((2, segments * (t_seg + k - 1)), dtype=np.float32)
+        assert ad._wgrad(a, xp, k, segments).shape == (3, 2 * k) and len(calls) == int(fft)
 
     def test_wide_kernels_stay_on_im2col(self, monkeypatch, rng):
         monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 1)
@@ -537,6 +582,19 @@ class TestFftCorrelation:
         assert np.array_equal(y, np.concatenate(per, axis=1))
 
     @settings(max_examples=150, deadline=None)
+    @given(segment_cases())
+    def test_taped_segments_match_per_segment_tapes(self, case):
+        # as TestIm2colBlocks', with every stride-1 correlation, input
+        # gradient and weight gradient on the FFT product
+        check_taped_segments(case, at_fft)
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_gradients_are_adjoints(self, case):
+        # as TestConv1dProperties', on the FFT product
+        at_fft(lambda: check_conv_adjoints(case))
+
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_within_float32_bound_of_im2col(self, data):
         rows, c = data.draw(st.integers(1, 8), label="rows"), data.draw(st.integers(1, 8), label="c")
@@ -553,8 +611,110 @@ class TestFftCorrelation:
         # a window of 2*frame + k samples about an output holds its frame and its taps
         scale = np.concatenate([w_norms @ window_norms(xs, frame + k)[:, :t_seg]
                                 for xs in np.split(xp, n_seg, axis=1)], axis=1)
-        bound = (fft_error_factor(c, frame) + gamma(c * k)) * scale
+        bound = (fft_error_factor(c, frame, k) + gamma(c * k)) * scale
         assert np.all(np.abs(y.astype(np.float64) - ref) <= bound)
+
+
+class TestFftBackward:
+    """Training on the FFT product: an up-stage gated conv pair's stacked
+    correlation (filter and gate, 64 rows, 32 channels, k 65) at 8 segments
+    of 1600, its forward, input gradient and both weight gradients, in
+    float32 against float64 direct sums within the bounds stated above U;
+    and taped segments whose input gradients keep their bits."""
+
+    ROWS, C, K, T, S = 64, 32, 65, 1600, 8
+
+    @pytest.fixture
+    def case(self, rng):
+        x = rng.standard_normal((self.C, self.S * self.T), dtype=np.float32)
+        xp = ad._pad(x, self.S, self.K // 2, self.K // 2, "reflect")
+        w = (rng.standard_normal((self.ROWS, self.C * self.K))
+             / np.sqrt(self.C * self.K)).astype(np.float32)
+        g = rng.standard_normal((self.ROWS, self.S * self.T), dtype=np.float32)
+        lp = self.T + self.K - 1
+        assert ad._fft_pays(self.T, self.K) and ad._fft_pays(lp, self.K)
+        assert ad._fft_pays(self.S * self.T, self.K, ad.FFT_MIN_WGRAD_COLUMNS)
+        return xp, w, g
+
+    def test_forward(self, case):
+        xp, w, _ = case
+        y = ad._correlate(w, xp, self.K, self.S)
+        w_norms = np.linalg.norm(w.reshape(self.ROWS, self.C, self.K).astype(np.float64), axis=2)
+        reach = ad.FFT_FRAME + self.K  # about an output: its frame and its taps
+        for s, xs in enumerate(np.split(xp.astype(np.float64), self.S, axis=1)):
+            ref = w.astype(np.float64) @ im2col(xs, self.K, 1)
+            bound = fft_error_factor(self.C, ad.FFT_FRAME, self.K) * (
+                w_norms @ window_norms(xs, reach)[:, : self.T])
+            err = np.abs(y[:, s * self.T : (s + 1) * self.T] - ref)
+            assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
+
+    def test_input_gradient(self, case):
+        # a correlation of the output gradient, zero-padded by k - 1, with the
+        # flipped, transposed kernels: c = ROWS channels, C rows
+        _, w, g = case
+        k, lp = self.K, self.T + self.K - 1
+        gx = ad._correlate_adjoint(w, g, k, lp, self.S)
+        w64 = w.astype(np.float64)
+        w_norms = np.linalg.norm(w64.reshape(self.ROWS, self.C, k), axis=2).T
+        for s, gs in enumerate(np.split(g.astype(np.float64), self.S, axis=1)):
+            ref = strided_scatter_add((w64.T @ gs).reshape(self.C, k, self.T), 1, lp)
+            gp = np.pad(gs, ((0, 0), (k - 1, k - 1)))
+            bound = fft_error_factor(self.ROWS, ad.FFT_FRAME, k) * (
+                w_norms @ window_norms(gp, ad.FFT_FRAME + k)[:, :lp])
+            err = np.abs(gx[:, s] - ref)
+            assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
+
+    def test_weight_gradients(self, case):
+        # per frame of hop outputs, the error bound of the forward with the sum
+        # over channels replaced by the sum over every segment's frames (a
+        # frame's a zero-filled to FFT_FRAME samples, its xp FFT_FRAME samples)
+        xp, _, g = case
+        n, k = ad.FFT_FRAME, self.K
+        hop = n - k + 1
+        gw = ad._wgrad(g, xp, k, self.S).reshape(self.ROWS, self.C, k)
+        frames = -(-(self.T + k - 1) // hop)
+        ref = np.zeros((self.ROWS, self.C * k))
+        scale = np.zeros((self.ROWS, self.C))
+        for gs, xs in zip(np.split(g.astype(np.float64), self.S, axis=1),
+                          np.split(xp.astype(np.float64), self.S, axis=1)):
+            ref += gs @ im2col(xs, k, 1).T
+            a_frames = np.pad(gs, ((0, 0), (0, frames * hop - self.T))).reshape(self.ROWS, -1, hop)
+            x_frames = sliding_window_view(
+                np.pad(xs, ((0, 0), (0, (frames - 1) * hop + n - xs.shape[1]))), n, axis=1)[:, ::hop]
+            scale += np.linalg.norm(a_frames, axis=2) @ np.linalg.norm(x_frames, axis=2).T
+        ref = ref.reshape(self.ROWS, self.C, k)
+        bound = fft_error_factor(self.S * frames, n) * scale[:, :, None]
+        for name, rows in (("filter", slice(0, self.ROWS // 2)), ("gate", slice(self.ROWS // 2, None))):
+            err = np.abs(gw[rows] - ref[rows])
+            assert np.all(err <= bound[rows]), f"{name}: worst {np.max(err / bound[rows]):.3g} of the bound"
+
+    @pytest.mark.parametrize("kind", ["gated_conv_pair", "conv1d"])
+    def test_taped_segments_keep_input_gradient_bits(self, rng, kind):
+        # 3 segments of 800 at 32 channels and k 65: the forward and the input
+        # gradient take the FFT product, segment by segment
+        def draw():
+            return rng.standard_normal((32, 32, 65), dtype=np.float32) / 40
+
+        if kind == "gated_conv_pair":
+            weights = [draw(), draw()]
+
+            def op(x, wf, wg):
+                return ad.gated_conv_pair(x, wf, None, wg, None, 32)
+        else:
+            weights = [draw()]
+
+            def op(x, w):
+                return ad.conv1d(x, w, None, 1, (32, 32), "zero")
+        assert ad._fft_pays(800, 65) and ad._fft_pays(864, 65)
+        x = rng.standard_normal((32, 3 * 800), dtype=np.float32)
+        y, g_out, grads = taped_run(op, x, weights, 3, rng)
+        per = [taped_run(op, x[:, i * 800 : (i + 1) * 800], weights, 1, g)
+               for i, g in enumerate(np.split(g_out, 3, axis=1))]
+        assert np.array_equal(y, np.concatenate([p[0] for p in per], axis=1))
+        assert np.array_equal(grads[0], np.concatenate([p[2][0] for p in per], axis=1))
+        for j in range(1, len(grads)):
+            ref = sum(p[2][j] for p in per)
+            assert np.max(np.abs(grads[j] - ref)) <= 1e-4 * np.max(np.abs(ref))
 
 
 class TestTconv1d:
@@ -592,7 +752,7 @@ class TestTconv1d:
         q = (np.arange(16000) + 32) // 2
         reach = ad.FFT_FRAME + 33
         scale = np.linalg.norm(w64, axis=2).T @ window_norms(x, reach)[:, np.minimum(q, 7999)]
-        bound = max(gamma(c_in * 33), fft_error_factor(c_in, ad.FFT_FRAME)) * scale
+        bound = max(gamma(c_in * 33), fft_error_factor(c_in, ad.FFT_FRAME, 33)) * scale
         err = np.abs(y - ref)
         assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
 

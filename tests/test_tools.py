@@ -74,6 +74,31 @@ def test_close_passes_same_tree_and_fails_a_shifted_tap(tmp_path, capsys):
     assert "differs: vocoded_multi_raw.wav: relative RMS" in out
 
 
+def test_close_fails_a_shifted_tap_in_the_input_gradient(tmp_path, capsys):
+    # a tap off by one in the FFT input gradient leaves vocoding alone; the
+    # gradients of the training half show it
+    config = train.TrainConfig(segment_len=1600, batch_size=1, seed=0)
+    G, D = train.build_models(config)
+    ckpt = tmp_path / "fresh.ckpt"
+    train.save_checkpoint(ckpt, config, G, D, train.AdamState(G.parameters()),
+                          train.AdamState(D.parameters()),
+                          np.random.default_rng(0).bit_generator.state, 0)
+    src = ROOT / "src"
+    planted = tmp_path / "planted"
+    shutil.copytree(src / "abas", planted / "abas", ignore=shutil.ignore_patterns("__pycache__"))
+    autodiff = planted / "abas" / "autodiff.py"
+    text = autodiff.read_text()
+    flip = "w_mat.reshape(-1, c, k)[:, :, ::-1]"
+    assert text.count(flip) == 1
+    autodiff.write_text(text.replace(flip, f"np.roll({flip}, 1, axis=2)"))
+    mod = load_same_outputs()
+    args = ["--ckpt", str(ckpt), "--close", "--work", str(tmp_path / "work")]
+    assert mod.main([str(src), str(planted), *args]) == 1
+    out = capsys.readouterr().out
+    assert "differs: grads.npz: " in out
+    assert "1 of " in out  # vocoding is unchanged
+
+
 def test_close_needs_ckpt(capsys):
     src = str(ROOT / "src")
     with pytest.raises(SystemExit) as exit_info:

@@ -36,15 +36,20 @@ into the run directory: ``gen-corpus`` as above, then the four ``vocode``
 steps above (the 5000- and 37000-sample clips, with and without
 ``--skip-cross-synth``) and ``inspect-checkpoint``. A change that alters
 training on purpose shows with it that vocoding is unchanged, given a
-checkpoint written by the parent.
+checkpoint written by the parent. Both sides also restore that checkpoint
+into float64 models of each training config in GRAD_STEPS, run one
+``train_step`` on a fixed synthetic corpus, and save the gradient that each
+``adam_amsgrad_step`` call receives, per parameter, to ``grads.npz``.
 
 ``--close`` (with ``--ckpt``) is the oracle for a change that only reorders
-float32 sums in vocoding: each WAV compares by its decoded samples, within
-WAV_REL_RMS relative RMS and WAV_MAX_LSB PCM16 steps at any sample; the
-``ssnr_db=... l1=... lsd_db=...`` line each vocode prints compares value by
-value, within METRIC_REL relative difference; every other file compares byte
-for byte. See those constants for why the bounds hold for a reordering and
-fail for a wrong tap.
+float32 sums: each WAV compares by its decoded samples, within WAV_REL_RMS
+relative RMS and WAV_MAX_LSB PCM16 steps at any sample; the ``ssnr_db=...
+l1=... lsd_db=...`` line each vocode prints compares value by value, within
+METRIC_REL relative difference; each gradient in ``grads.npz`` compares by
+the relative L2 norm of its difference, within GRAD_REL_L2; every other file
+compares byte for byte. See those constants for why the bounds hold for a
+reordering and fail for a wrong tap. Without ``--close`` the gradients must
+be equal.
 
 Both sides run in a new directory under ``--work DIR`` (created if missing)
 or the system's temp directory. Every command's stdout, stderr and exit code
@@ -95,6 +100,34 @@ WAV_MAX_LSB = 1
 WAV_REL_RMS = 1e-4
 METRIC_REL = 1e-4
 METRICS = re.compile(r"ssnr_db=(\S+) l1=(\S+) lsd_db=(\S+)")
+
+# The training half of --close: one train_step per config (gate, target,
+# segment, batch) from the given checkpoint; every gate, target, segment and
+# batch size of the scenario's training runs appears at least once. The steps
+# run in float64 (models, optimizer state and batch). In float32 no bound
+# from rounding can hold: the networks are piecewise linear, and a rounding
+# change flips the odd leaky-ReLU input that lies within rounding of zero.
+# One such flip in D.layer2, in the G phase of the batch-8 step, moved G's
+# gradients by 2.6e-4 relative L2 (median over parameters; 2.6% for a PReLU
+# slope) between a tree and its parent whose only difference was the order
+# of float32 sums. In float64 a flip needs an input within about 1e-16 of
+# zero relative to its terms.
+# GRAD_REL_L2: in float64 (u = 2**-53) a sum of n terms in any order is
+# within gamma(n) = n*u / (1 - n*u) of its exact value, relative to the sum
+# of its terms' magnitudes (Higham 2002, eq. 3.5), so two orders differ by at
+# most 2*gamma(n). The longest sums here are weight gradients over 16000
+# columns (gamma = 1.8e-12); forward and backward together put about 60 such
+# products in series, and to first order their relative errors add: 2e-10.
+# A gradient that cancels (a bias or a PReLU slope sums terms of both signs)
+# is that many times less accurate; the bound allows a factor of 50. Against
+# its parent, a change that reordered the sums of the upsampler's
+# correlations and their gradients read at most 1.4e-13 (a PReLU slope), and
+# one tap off by one in the FFT input gradient 0.6 to 455.
+GRAD_STEPS = [("softmax_channel", "speech", 1600, 8), ("sigmoid", "residual", 1600, 3),
+              ("softmax_channel", "residual", 528, 3), ("sigmoid", "speech", 528, 1),
+              ("softmax_channel", "speech", 16000, 1), ("sigmoid", "residual", 16000, 1)]
+GRADS = "grads.npz"
+GRAD_REL_L2 = 1e-8
 
 
 def vocode_steps(ckpt: str) -> list[tuple[str, list[str]]]:
@@ -164,6 +197,46 @@ def scenario(given: bool = False) -> list[tuple[str, list[str]]]:
     return steps
 
 
+def record_grads(ckpt: Path, out: Path):
+    """For each GRAD_STEPS config: restore ckpt into fresh float64 models and
+    optimizers, run one train_step on a float64 batch of a fixed synthetic
+    corpus, and keep the gradient each adam_amsgrad_step call receives (zeros
+    for a parameter without one); save them all to out, keyed
+    config/parameter. Runs inside a side's tree (abas from PYTHONPATH)."""
+    from abas import train as T
+
+    checkpoint = T.load_checkpoint(ckpt)
+    clip_rng = np.random.default_rng(0)
+    clips = [T.synthesize_clip(clip_rng, 20000) for _ in range(3)]
+    defaults = T.TrainConfig()  # every config below keeps its LPC settings
+    residuals = T.residuals_for(clips, defaults.lpc_order, defaults.frame_len)
+    grads = {}
+    adam_step = T.adam_amsgrad_step
+    for gate, target, seg, batch_size in GRAD_STEPS:
+        tag = f"{gate}_{target}_seg{seg}_batch{batch_size}"
+        config = T.TrainConfig(gate_kind=gate, target_mode=target, segment_len=seg,
+                               batch_size=batch_size, seed=0)
+        G, D = T.build_models(config, np.float64)
+        opt_g, opt_d = T.AdamState(G.parameters()), T.AdamState(D.parameters())
+        T.restore_into(checkpoint, G, D, opt_g, opt_d)
+        rng = np.random.default_rng([config.seed, 1])
+        batch = [(x.astype(np.float64), r.astype(np.float64)) for x, r in
+                 next(T.make_batches(clips, residuals, seg, batch_size, rng, config.frame_len))]
+
+        def spy(params, *args, **kwargs):
+            for p in params:
+                grads[f"{tag}/{p.name}"] = (np.zeros_like(p.data) if p.grad is None
+                                            else p.grad.copy())
+            return adam_step(params, *args, **kwargs)
+
+        T.adam_amsgrad_step = spy
+        try:
+            T.train_step(batch, G, D, opt_g, opt_d, config, rng)
+        finally:
+            T.adam_amsgrad_step = adam_step
+    np.savez(out, **grads)
+
+
 def run_side(src: Path, run_dir: Path, ckpt: Path | None = None):
     """Run the scenario importing abas from ``src``, inside ``run_dir``; with
     ``ckpt``, the scenario that vocodes that checkpoint."""
@@ -184,6 +257,14 @@ def run_side(src: Path, run_dir: Path, ckpt: Path | None = None):
                   f"{proc.stderr.decode(errors='replace')[-2000:]}", file=sys.stderr)
             sys.exit(2)
         print(f"  {label}", flush=True)
+    if ckpt is not None:
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--record-grads",
+                               GIVEN_CKPT, GRADS], cwd=run_dir, env=env, capture_output=True)
+        if proc.returncode != 0:
+            print(f"{src}: recording the gradients of {GIVEN_CKPT} exited {proc.returncode}:\n"
+                  f"{proc.stderr.decode(errors='replace')[-2000:]}", file=sys.stderr)
+            sys.exit(2)
+        print("  grads", flush=True)
 
 
 def files_under(root: Path) -> set[Path]:
@@ -224,6 +305,24 @@ def text_gap(a: Path, b: Path) -> tuple[bool, str]:
     return worst <= METRIC_REL, f"metrics {worst:.3g} relative (bound {METRIC_REL:g})"
 
 
+def grads_gap(a: Path, b: Path, close: bool) -> tuple[bool, str]:
+    """Whether two grads.npz files are close (or, without close, equal), and
+    the parameter farthest apart by relative L2 norm."""
+    with np.load(a) as ga, np.load(b) as gb:
+        if sorted(ga.files) != sorted(gb.files):
+            return False, "different parameters"
+        gaps = {}
+        for key in ga.files:
+            x, y = ga[key].astype(np.float64), gb[key].astype(np.float64)
+            if x.shape != y.shape:
+                return False, f"{key}: shape {x.shape} against {y.shape}"
+            gaps[key] = np.linalg.norm(x - y) / max(np.linalg.norm(x), 1e-30)
+    name = max(gaps, key=lambda key: np.nan_to_num(gaps[key], nan=np.inf))  # NaN is worst
+    worst = gaps[name]
+    ok = worst <= GRAD_REL_L2 if close else worst == 0.0
+    return ok, f"{name} relative L2 {worst:.3g}" + (f" (bound {GRAD_REL_L2:g})" if close else "")
+
+
 def compare(a: Path, b: Path, close: bool = False) -> tuple[list[str], list[str]]:
     """One line per file that differs (with close, that is not close) or
     exists on one side only, and with close, one per file that differs but
@@ -235,10 +334,15 @@ def compare(a: Path, b: Path, close: bool = False) -> tuple[list[str], list[str]
     for p in sorted(fa & fb):
         if filecmp.cmp(a / p, b / p, shallow=False):
             continue
-        if not close:
+        if p.name == GRADS:
+            ok, gap = grads_gap(a / p, b / p, close)
+            if ok and not close:
+                continue  # the same arrays, in archives written at other times
+        elif not close:
             problems.append(f"differs: {p}")
             continue
-        ok, gap = (wav_gap if p.suffix == ".wav" else text_gap)(a / p, b / p)
+        else:
+            ok, gap = (wav_gap if p.suffix == ".wav" else text_gap)(a / p, b / p)
         (near if ok else problems).append(f"{'close' if ok else 'differs'}: {p}: {gap}")
     return problems, near
 
@@ -286,4 +390,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--record-grads"]:  # run_side's worker, inside one side's tree
+        record_grads(Path(sys.argv[2]), Path(sys.argv[3]))
+        sys.exit(0)
     sys.exit(main())
