@@ -313,27 +313,36 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution kernels
 #
-# All heavy work routes through GEMMs. Every stride-1 correlation of a
-# weight matrix with a padded signal goes through _correlate, whose size rule
-# (_fft_pays) picks the lowering. By default it multiplies the weights with
+# All heavy work routes through GEMMs. Every correlation of a weight matrix
+# with a padded signal, strided or not, goes through _correlate, whose size
+# rule (_fft_pays) picks the lowering. By default it multiplies the weights with
 # the (c_in*k, T) im2col matrix of the padded input, built one column block at
 # a time in one reused buffer, so the whole matrix (k times the input) never
-# exists. A correlation of FFT_MIN_TAPS to FFT_FRAME/2 + 1 taps whose
-# segments give at least FFT_MIN_COLUMNS outputs each at 65 taps, and
-# proportionally more at fewer taps, is an overlap-save FFT product instead
-# (_fft_correlate): the kernels' spectra from one GEMM with the DFT's rows,
-# rfft of FFT_FRAME-sample frames, one complex GEMM per frequency bin, irfft.
+# exists. A correlation of FFT_MIN_TAPS to FFT_FRAME/2 + 1 taps, with at
+# least FFT_MIN_CHANNELS rows and channels, whose segments give at least
+# FFT_MIN_COLUMNS outputs each at 65 taps, and proportionally more at fewer
+# taps, is an overlap-save FFT product instead (_fft_correlate): the kernels'
+# spectra from one GEMM with the DFT's rows, rfft of FFT_FRAME-sample frames,
+# one complex GEMM per frequency bin, irfft. A stride-s correlation of c
+# channels and k taps takes it as the stride-1 correlation of its input's
+# phase stack (_phase_stack: row c*s + p holds samples p, p + s, ... of
+# channel c) with its kernel's phase taps (_phase_taps: tap q*s + p as tap q
+# of phase p, zero past k), s*c channels of ceil(k/s) taps, and the stack's
+# adjoint (_phase_unstack) carries its gradients back. On im2col it keeps
+# its every s-th window, whose matrix is the phase stack's with its rows in
+# tap order, so each output sums as a direct strided sum does.
 # conv1d, the gated conv and the transposed conv all call _correlate. A
 # transposed conv is stride correlations of its zero-padded input, one per
 # phase of its output (the kernel's taps p, p + stride, ...), stacked into one
 # weight matrix and interleaved (polyphase), so it needs no fold. A conv pads
 # inside itself (_pad, zero or reflect) and its tape keeps the unpadded input;
-# backward pads it again. The input gradient of a stride-1 conv or gated conv
-# is itself a correlation, of the output gradient zero-padded by k - 1 with
-# the flipped, transposed kernels (_correlate_adjoint): where the size rule
-# takes its outputs to the FFT product it goes through _correlate, and
-# otherwise, as for a strided conv, the GEMM of the transposed weights with
-# the output gradient is folded back block by block (_matmul_fold). Then
+# backward pads it again. The input gradient of a conv or gated conv (of its
+# phase stack, at stride > 1) is itself a correlation, of the output gradient
+# zero-padded by k - 1 with the flipped, transposed kernels
+# (_correlate_adjoint): where the size rule takes its outputs to the FFT
+# product it goes through _correlate, and otherwise the GEMM of the
+# transposed weights with the output gradient is folded back block by block,
+# with the stride (_matmul_fold). Then
 # the pad's adjoint (_unpad) applies. The weight gradient (_wgrad) is the FFT
 # product where the rule takes all its columns, of every segment, to it
 # (FFT_MIN_WGRAD_COLUMNS; _fft_wgrad: per bin, one complex GEMM of the output
@@ -345,11 +354,14 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # and a sum along its diagonals gives the output; its backward works, block
 # by block, on the im2col of the (c_out, T) output gradient. That keeps a
 # 64 -> 1 channel conv from copying its input k times. A transposed conv's
-# backward is the im2col lowering of its padded output gradient, blocked
-# alike. Cross-correlation convention throughout: no kernel flip.
+# backward is the strided correlation of its padded output gradient, and
+# the weight gradient against it (_wgrad_correlate): like the narrowing
+# conv's, one im2col loop, blocked alike, where the weight gradient stays on
+# im2col. Cross-correlation convention throughout: no kernel flip.
 #
-# On a multi-segment tensor every pad, window, diagonal sum, fold and FFT
-# frame of a forward or an input gradient stays inside its segment. The size
+# On a multi-segment tensor every pad, phase stack, window, diagonal sum,
+# fold and FFT frame of a forward or an input gradient stays inside its
+# segment. The size
 # rule of _correlate reads the per-segment length, never the segment count,
 # so a segment takes the same lowering side by side as alone. One rule
 # (_plan) picks each im2col GEMM's columns: blocks that run across segment
@@ -382,17 +394,49 @@ SMALL_GEMM_MACS = 100**3
 
 # The size rule (_fft_pays): the outputs per segment of a correlation of
 # FFT_FRAME/2 + 1 taps from which it is an FFT product rather than an im2col
-# GEMM (proportionally more at fewer taps, down to FFT_MIN_TAPS), and the
-# columns of all segments from which a weight gradient is; see _correlate for
-# the crossover measured. The FFT product's frames are FFT_FRAME samples and
-# run FFT_CHUNK at a time in a forward or input gradient, WGRAD_FRAMES at a
-# time in a weight gradient.
+# GEMM (proportionally more at fewer taps, down to FFT_MIN_TAPS, and never
+# below FFT_MIN_CHANNELS rows or channels), and the columns of all segments
+# from which a weight gradient is; see _correlate for the crossover measured.
+# The FFT product's frames are FFT_FRAME samples and run FFT_CHUNK at a time
+# in a forward or input gradient, WGRAD_FRAMES at a time in a weight gradient.
 FFT_MIN_COLUMNS = 400
 FFT_MIN_WGRAD_COLUMNS = 1600
 FFT_MIN_TAPS = 32
+FFT_MIN_CHANNELS = 8
 FFT_FRAME = 128
 FFT_CHUNK = 32
 WGRAD_FRAMES = 128
+
+
+def _phase_stack(xd: np.ndarray, segments: int, stride: int, length: int) -> np.ndarray:
+    """(c*stride, S*length): row c*stride + p holds samples p, p + stride, ...
+    of channel c of each segment of xd (c, S*L), length of them, zero past
+    the segment's end. At stride 1 and length L, xd itself."""
+    x = _split(_pad(xd, segments, 0, max(0, length * stride - xd.shape[1] // segments)), segments)
+    x = x[..., : length * stride].reshape(x.shape[0], segments, length, stride)
+    return x.transpose(0, 3, 1, 2).reshape(-1, segments * length)
+
+
+def _phase_unstack(gs: np.ndarray, stride: int, n: int) -> np.ndarray:
+    """Adjoint of _phase_stack: the gradient (c, S, n) of a signal of n
+    samples a segment whose phase stack has the gradient gs (c*stride, S,
+    length); samples the stack does not reach get zero."""
+    cs, segments, length = gs.shape
+    g = gs.reshape(cs // stride, stride, segments, length).transpose(0, 2, 3, 1)
+    g = _join(g.reshape(cs // stride, segments, length * stride)[..., :n])
+    return _split(_pad(g, segments, 0, max(0, n - length * stride)), segments)
+
+
+def _phase_taps(w_mat: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The weights (R, c*k) of a strided correlation as those of the
+    stride-1 correlation of its phase stack, (R, c*stride*ceil(k/stride)):
+    column (c*stride + p)*taps + q is tap q*stride + p, zero past k."""
+    return _phase_stack(w_mat.reshape(-1, k), 1, stride, -(-k // stride)).reshape(len(w_mat), -1)
+
+
+def _phase_taps_adjoint(gw: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The gradient (R, c*k) of w_mat from that of its _phase_taps."""
+    return _phase_unstack(gw.reshape(-1, 1, -(-k // stride)), stride, k).reshape(len(gw), -1)
 
 
 def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0):
@@ -404,11 +448,6 @@ def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0)
     for k in range(cols.shape[1]):
         q, p = divmod(k, stride)
         phases[..., p, first + q : first + q + t] += cols[:, k]
-
-
-def _unphase(phases: np.ndarray, out_len: int) -> np.ndarray:
-    """The signal that phases[..., p, i] holds as out[..., i*stride + p], cut to out_len."""
-    return np.swapaxes(phases, -1, -2).reshape(*phases.shape[:-2], -1)[..., :out_len]
 
 
 def _small(macs: int, cols: int) -> bool:
@@ -460,7 +499,7 @@ def _piece(block: np.ndarray, t_seg: int, t0: int, piece) -> np.ndarray:
 
 
 def _windows(xp: np.ndarray, k: int, stride: int, segments: int) -> np.ndarray:
-    """(c, S, t, k) view of every kernel-width window of each segment of xp."""
+    """(c, S, t, k) view of every stride-th kernel-width window of each segment of xp."""
     return sliding_window_view(_split(xp, segments), k, axis=2)[:, :, ::stride]
 
 
@@ -491,22 +530,26 @@ def _im2col_matmul(w_mat: np.ndarray, xp: np.ndarray, k: int, stride: int,
     return y
 
 
-def _fft_pays(columns: int, k: int, least: int | None = None) -> bool:
-    """The size rule of the FFT product: whether a stride-1 correlation of k
-    taps over columns outputs takes it, which it does from least
-    (FFT_MIN_COLUMNS) outputs at FFT_FRAME/2 + 1 taps, and from
-    proportionally more at fewer taps, down to FFT_MIN_TAPS."""
+def _fft_pays(columns: int, k: int, rows: int, channels: int, least: int | None = None) -> bool:
+    """The size rule of the FFT product: whether a correlation of k taps,
+    rows output rows and channels input channels over columns outputs takes
+    it: from least (FFT_MIN_COLUMNS) outputs at FFT_FRAME/2 + 1 taps and
+    proportionally more at fewer, down to FFT_MIN_TAPS, and never with fewer
+    than FFT_MIN_CHANNELS rows or channels, where the transforms of the wide
+    side cost more than the narrow im2col GEMM."""
     least = FFT_MIN_COLUMNS if least is None else least
-    return FFT_MIN_TAPS <= k <= FFT_FRAME // 2 + 1 and columns * k >= least * (FFT_FRAME // 2 + 1)
+    return (FFT_MIN_TAPS <= k <= FFT_FRAME // 2 + 1 and min(rows, channels) >= FFT_MIN_CHANNELS
+            and columns * k >= least * (FFT_FRAME // 2 + 1))
 
 
 def _correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1,
                stride: int = 1) -> np.ndarray:
     """w_mat (R, c*k) correlated with each segment of xp (c, S*Lp) at stride:
-    (R, S*T), T outputs a segment. The blocked im2col product, or where the
-    size rule (_fft_pays) takes a stride-1 segment's T outputs to it, the FFT
-    product. The rule reads only T and k, so each segment's outputs have the
-    bits of a call on it alone.
+    (R, S*T), T outputs a segment. The blocked im2col product of xp's
+    windows, or where the size rule (_fft_pays) takes the T outputs of xp's
+    phase stack (stride*c channels of ceil(k/stride) taps) to it, the FFT
+    product of the stack. The rule reads only T, the taps, R and the
+    channels, so each segment's outputs have the bits of a call on it alone.
 
     Crossover, im2col (or fold) against FFT product, times faster (2 cores,
     2 BLAS threads, float32, medians of 15 calls), by outputs a segment T and
@@ -522,13 +565,23 @@ def _correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1,
     - up-stage gated input gradient (32 rows, 64 channels; T + 64 outputs)
       against _matmul_fold: T 200: 1.0x at S 2, 1.3x at S 8; T 400: 2.0x /
       2.8x; T 1600: 4.8x at S 8. The decoder's at T 100: 0.5-0.65x.
-    Hence FFT_MIN_COLUMNS 400 at 65 taps, and so about 790 at 33. A 3 s
+    - the encoder's stride-2 convs as phase stacks (32 taps; at segment
+      16000, S 1), against their strided im2col: down1 (64 rows, 64 phase
+      channels, T 4000) 2.0x, down2 (64 rows, 128 channels, T 2000) 2.5x,
+      down3 (128 rows, 128 channels, T 1000) 1.4x; down0 (32 rows, 2
+      channels, T 8000) 0.33x. At 32 rows, 32 taps and T 8000: 0.45x at 2
+      channels, 0.69x at 4, 1.1x at 8, 1.4x at 16; down0's input gradient
+      (2 rows, 32 channels, T 831) 0.52x at S 2, 0.98x at S 8.
+    Hence FFT_MIN_COLUMNS 400 at 65 taps, and so about 790 at 33, and
+    FFT_MIN_CHANNELS 8, rows or channels. A 3 s
     generate_segments at segment 16000 (default model, in-process medians of
     10) took 413 ms with this rule and 473 ms with the FFT product only from
     2000 outputs."""
-    t_seg = xp.shape[1] // segments - k + 1
-    if stride == 1 and _fft_pays(t_seg, k):
-        return _fft_correlate(w_mat, xp, k, segments)
+    kq = -(-k // stride)
+    t_seg = (xp.shape[1] // segments - k) // stride + 1
+    if _fft_pays(t_seg, kq, w_mat.shape[0], stride * xp.shape[0]):
+        return _fft_correlate(_phase_taps(w_mat, k, stride),
+                              _phase_stack(xp, segments, stride, t_seg + kq - 1), kq, segments)
     return _im2col_matmul(w_mat, xp, k, stride, segments)
 
 
@@ -600,15 +653,18 @@ def _fft_correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1)
 def _correlate_adjoint(w_mat: np.ndarray, g: np.ndarray, k: int, out_len: int,
                        segments: int = 1, stride: int = 1) -> np.ndarray:
     """The input gradient (c, S, out_len) of _correlate(w_mat, xp, k,
-    segments, stride) for the output gradient g (R, S*T). At stride 1 it is
-    itself a correlation: of g, zero-padded by k - 1 on each side, with the
-    kernels flipped and transposed, (c, R*k), so where the size rule takes
-    out_len outputs to the FFT product it goes through _correlate; otherwise
-    it is the GEMM of the transposed weights folded back (_matmul_fold)."""
-    if stride == 1 and _fft_pays(out_len, k):
-        c = w_mat.shape[1] // k
+    segments, stride) for the output gradient g (R, S*T). That of xp's phase
+    stack is a correlation of g, zero-padded by taps - 1, with the flipped,
+    transposed phase taps (stride*c, R*taps): where the size rule takes its
+    outputs to the FFT product it goes through _correlate and back through
+    the stack; otherwise it is the GEMM of the transposed weights folded
+    back (_matmul_fold)."""
+    kq, cs = -(-k // stride), stride * (w_mat.shape[1] // k)
+    if _fft_pays(g.shape[1] // segments + kq - 1, kq, cs, w_mat.shape[0]):
+        w_mat, c, k = _phase_taps(w_mat, k, stride), cs, kq  # the phase stack's
         w_flip = w_mat.reshape(-1, c, k)[:, :, ::-1].transpose(1, 0, 2).reshape(c, -1)
-        return _split(_correlate(w_flip, _pad(g, segments, k - 1, k - 1), k, segments), segments)
+        gs = _correlate(w_flip, _pad(g, segments, k - 1, k - 1), k, segments)
+        return _phase_unstack(_split(gs, segments), stride, out_len)
     return _matmul_fold(w_mat.T, g, k, stride, out_len, segments)
 
 
@@ -643,27 +699,54 @@ def _fft_wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1) -> np.n
         _split(xp, segments))
     a_frames = ap.reshape(rows, -1, hop).transpose(2, 0, 1)  # (hop, R, S*frames)
     x_frames = sliding_window_view(xs, n, axis=1)[:, ::hop].transpose(2, 1, 0)  # (n, S*frames, c)
-    acc = np.zeros((n // 2 + 1, rows, c), np.result_type(dtype, np.complex64))
+    acc = None
     for f0 in range(0, segments * frames, WGRAD_FRAMES):
         f1 = f0 + WGRAD_FRAMES
         a_f = scipy.fft.rfft(a_frames[..., f0:f1], n, axis=0)  # (bins, R, m)
-        acc += np.matmul(np.conjugate(a_f, out=a_f), scipy.fft.rfft(x_frames[:, f0:f1], axis=0))
+        x_f = scipy.fft.rfft(x_frames[:, f0:f1], axis=0)  # (bins, m, c)
+        if f1 >= segments * frames:  # the frames are not alive beside the last product
+            del ap, xs, a_frames, x_frames
+        part = np.matmul(np.conjugate(a_f, out=a_f), x_f)
+        del a_f, x_f  # nor the spectra beside the next chunk's, or the irfft
+        acc = part if acc is None else np.add(acc, part, out=acc)
     gw = scipy.fft.irfft(acc, n, axis=0)[:k]  # (k, R, c)
     return gw.transpose(1, 2, 0).reshape(rows, c * k)
 
 
+def _fft_wgrad_pays(a: np.ndarray, xp: np.ndarray, k: int, stride: int) -> bool:
+    """The size rule of a weight gradient: all its columns, with
+    FFT_MIN_WGRAD_COLUMNS, at the taps and channels of xp's phase stack."""
+    return _fft_pays(a.shape[1], -(-k // stride), a.shape[0], stride * xp.shape[0],
+                     FFT_MIN_WGRAD_COLUMNS)
+
+
 def _wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1, stride: int = 1) -> np.ndarray:
     """The weight gradient (R, c*k) of _correlate(w_mat, xp, k, segments,
-    stride) for the output gradient a (R, S*T): the FFT product where the
-    size rule takes all S*T columns to it with FFT_MIN_WGRAD_COLUMNS, as a
-    sum over segments may, or else the blocked im2col product."""
-    if stride == 1 and _fft_pays(a.shape[1], k, FFT_MIN_WGRAD_COLUMNS):
-        return _fft_wgrad(a, xp, k, segments)
+    stride) for the output gradient a (R, S*T): the FFT product of xp's
+    phase stack where the size rule takes it (_fft_wgrad_pays), as a sum
+    over segments may, or else the blocked im2col product."""
+    if _fft_wgrad_pays(a, xp, k, stride):
+        kq = -(-k // stride)
+        xs = _phase_stack(xp, segments, stride, a.shape[1] // segments + kq - 1)
+        return _phase_taps_adjoint(_fft_wgrad(a, xs, kq, segments), k, stride)
     return _im2col_wgrad(a, xp, k, stride, segments)[0]
 
 
-def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int,
-                  segments: int = 1, w_mat: np.ndarray | None = None):
+def _wgrad_correlate(a: np.ndarray | None, xp: np.ndarray, w_mat: np.ndarray, k: int,
+                     segments: int = 1, stride: int = 1):
+    """(_wgrad(a, xp, k, segments, stride), None without a; _correlate(w_mat,
+    xp, k, segments, stride)): a transposed or narrowing conv's weight and
+    input gradients, against one padded gradient xp. Where the weight
+    gradient stays on im2col, the input gradient's GEMM runs in its loop,
+    on the columns it builds anyway (_im2col_wgrad)."""
+    if a is None or _fft_wgrad_pays(a, xp, k, stride):
+        gw = None if a is None else _wgrad(a, xp, k, segments, stride)
+        return gw, _correlate(w_mat, xp, k, segments, stride)
+    return _im2col_wgrad(a, xp, k, stride, segments, w_mat)
+
+
+def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int, segments: int = 1,
+                  w_mat: np.ndarray | None = None):
     """(gw, y): gw is a @ the transposed im2col matrices of the segments of xp
     side by side, a weight gradient: one GEMM per IM2COL_BLOCK columns
     (_im2col_blocks) across segments, summed block after block, or one GEMM
@@ -715,8 +798,8 @@ def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: 
         for piece in pieces:
             s0, s1, a, _ = piece
             _fold_add(phases[:, s0:s1], _piece(buf, t_seg, t0, piece), stride, a)
-    del buf, cols  # before _unphase copies the phases
-    return _unphase(phases, out_len)
+    del buf, cols  # before the phases are interleaved
+    return np.swapaxes(phases, -1, -2).reshape(c, segments, -1)[..., :out_len]
 
 
 def _check_stride(stride: int):
@@ -742,11 +825,11 @@ def conv1d(
     weight taps with the padded input followed by a diagonal sum, and the
     gradients are GEMMs with the im2col of the zero-padded output gradient.
     Every other conv is the correlation of the weights with the padded input
-    (_correlate): a GEMM with its im2col matrix, or at stride 1 with a long
-    segment and a wide kernel, an FFT product. Its input gradient is
-    _correlate_adjoint (at stride 1 a correlation of the padded output
-    gradient, on the FFT product where the size rule takes it) and its
-    weight gradient _wgrad.
+    at stride (_correlate): a GEMM with its im2col matrix, or with a long
+    segment, a wide kernel and enough channels, an FFT product, at stride > 1
+    of the input's phase stack. Its input gradient is _correlate_adjoint (a
+    correlation of the padded output gradient, on the FFT product where the
+    size rule takes it) and its weight gradient _wgrad.
     """
     if pad_mode not in ("zero", "reflect"):
         raise ValueError(f"unknown pad_mode {pad_mode!r}")
@@ -791,14 +874,11 @@ def conv1d(
         if narrowing:
             # gcols[o*k + m, s] = g[o, s + m - (k - 1)] within each segment, zero outside g
             w_rev = w_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            gp = _pad(g, n_seg, k - 1, k - 1)
+            xp_w = _pad(xd, n_seg, pl, pr, pad_mode) if w_id >= 0 else None
+            gw_rev, gx = _wgrad_correlate(xp_w, _pad(g, n_seg, k - 1, k - 1), w_rev, k, n_seg)
             if w_id >= 0:
-                gw_rev, gx = _im2col_wgrad(_pad(xd, n_seg, pl, pr, pad_mode), gp, k, 1, n_seg,
-                                           w_rev)
                 gw_rev = gw_rev.reshape(c_in, c_out, k)
                 out.append((w_id, gw_rev[:, :, ::-1].transpose(1, 0, 2).copy()))
-            else:
-                gx = _im2col_matmul(w_rev, gp, k, 1, n_seg)
             gx = _split(gx, n_seg)
         else:
             if w_id >= 0:
@@ -827,8 +907,11 @@ def tconv1d(
     ceil(k / stride) taps. The phases' weights are stacked into one
     (stride*c_out, c_in*ceil(k / stride)) matrix, so one _correlate computes
     them all, and their rows are interleaved into the output. Only the
-    outputs that survive the crop are computed. Backward is the im2col
-    lowering of the zero-padded output gradient.
+    outputs that survive the crop are computed. Backward is the
+    stride-``stride`` correlation of the zero-padded output gradient with
+    the kernel, and the weight gradient against it (_wgrad_correlate):
+    their im2col lowering, or where the size rule takes them to the FFT
+    product, that of the gradient's phase stack.
     """
     _check_stride(stride)
     tape = x.tape
@@ -845,11 +928,10 @@ def tconv1d(
     if cl < 0 or cr < 0 or cl + cr >= raw:
         raise ValueError(f"crop {crop} exceeds raw output length {raw}")
     taps = -(-k // stride)
-    w_phases = np.zeros((c_in, c_out, taps * stride), w_data.dtype)
-    w_phases[..., :k] = w_data
+    w_mat = w_data.reshape(c_in, c_out * k)
+    w_ph = _phase_taps(w_mat, k, stride).reshape(c_in, c_out, stride, taps)
     # row p*c_out + o, column c*taps + j: tap (taps - 1 - j)*stride + p of w[c, o]
-    w_phases = w_phases.reshape(c_in, c_out, taps, stride)[:, :, ::-1].transpose(3, 1, 0, 2)
-    w_phases = w_phases.reshape(stride * c_out, c_in * taps)
+    w_phases = w_ph[..., ::-1].transpose(2, 1, 0, 3).reshape(stride * c_out, c_in * taps)
     # phase outputs q0 .. q1 - 1 hold the kept raw outputs; output q of a phase
     # reads input samples q - taps + 1 .. q, zero outside the segment
     q0, q1 = cl // stride, -(-(raw - cr) // stride)
@@ -861,16 +943,15 @@ def tconv1d(
     y = _join(y.reshape(c_out, n_seg, -1)[..., first : first + raw - cl - cr])
     if b_data is not None:
         y += b_data.reshape(-1, 1)
-    w_mat = w_data.reshape(c_in, c_out * k)
 
     def bwd(g):
-        # the im2col lowering of the raw output gradient, (c_out*k, length) a segment
+        # the strided correlation of the raw output gradient: input t reads
+        # raw outputs t*stride .. t*stride + k - 1
         gp = _pad(g, n_seg, cl, cr)
+        gw, gx = _wgrad_correlate(xd if w_id >= 0 else None, gp, w_mat, k, n_seg, stride)
+        out = [(x_id, gx)]
         if w_id >= 0:
-            gw, gx = _im2col_wgrad(xd, gp, k, stride, n_seg, w_mat)
-            out = [(x_id, gx), (w_id, gw.reshape(w_data.shape))]
-        else:
-            out = [(x_id, _im2col_matmul(w_mat, gp, k, stride, n_seg))]
+            out.append((w_id, gw.reshape(w_data.shape)))
         if b_id >= 0:
             out.append((b_id, g.sum(axis=1)))
         return out

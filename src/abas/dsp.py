@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter, lfiltic
 
 PIPELINE_RATE = 16000
@@ -96,56 +97,74 @@ def frame_signal(x, frame_len: int) -> np.ndarray:
     return padded.reshape(n_frames, frame_len)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of a and b (..., n) along their last axis, broadcast
+    over the rest. Each is one BLAS dot product, the one np.dot computes for
+    one such pair of vectors, so a batch has the bits of a loop over them."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def autocorrelate(frame, max_lag: int, window: np.ndarray | None = None) -> np.ndarray:
-    """Autocorrelation r[0..max_lag] of the (optionally windowed) frame."""
+    """Autocorrelation r[..., 0..max_lag] of the (optionally windowed) frame,
+    or of each frame of an (n_frames, frame_len) array at once."""
     x = np.asarray(frame, dtype=np.float64)
-    if max_lag >= x.size:
-        raise ValueError(f"max_lag {max_lag} must be < frame length {x.size}")
+    n = x.shape[-1]
+    if max_lag >= n:
+        raise ValueError(f"max_lag {max_lag} must be < frame length {n}")
     if window is not None:
         x = x * np.asarray(window, dtype=np.float64)
-    r = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        r[k] = np.dot(x[: x.size - k], x[k:])
-    return r
+    return np.stack([_dots(x[..., : n - k], x[..., k:]) for k in range(max_lag + 1)], axis=-1)
 
 
-def levinson_durbin(autocorr, order: int) -> tuple[np.ndarray, float]:
+def levinson_durbin(autocorr, order: int):
     """Solve the Toeplitz normal equations by the Levinson-Durbin recursion.
 
     Returns (a, error_power) with a_1..a_p such that the predictor is
     sum(a_k x[n-k]). Reflection coefficients are clamped to
     [-REFLECTION_LIMIT, REFLECTION_LIMIT]; frames with r[0] < SILENCE_FLOOR
-    come back all-zero rather than raising.
+    come back all-zero rather than raising. Given an (n_frames, lags) array
+    it solves every frame at once, each step of the recursion broadcast over
+    the frames, and returns an (n_frames, order) array and an (n_frames,)
+    array of error powers; given one frame's lags, a vector and a float.
     """
     r = np.asarray(autocorr, dtype=np.float64)
-    if r.size < order + 1:
-        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    if r[0] < SILENCE_FLOOR:
-        return np.zeros(order), float(max(r[0], 0.0))
-    a = np.zeros(order)
-    err = float(r[0])
+    if r.shape[-1] < order + 1:
+        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.shape[-1]}")
+    rows = r.reshape(-1, r.shape[-1])
+    silent = rows[:, 0] < SILENCE_FLOOR
+    a = np.zeros((len(rows), order))
+    err = np.where(silent, 1.0, rows[:, 0])  # a silent frame's recursion runs on, unread
     for i in range(1, order + 1):
-        acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
-        k = acc / err
-        k = min(max(k, -REFLECTION_LIMIT), REFLECTION_LIMIT)
-        a_prev = a[: i - 1].copy()
-        a[: i - 1] = a_prev - k * a_prev[::-1]
-        a[i - 1] = k
+        # the reversed lags copied contiguous, as np.dot copies them for one frame
+        acc = rows[:, i] - _dots(a[:, : i - 1], rows[:, i - 1 : 0 : -1].copy())
+        k = np.clip(acc / err, -REFLECTION_LIMIT, REFLECTION_LIMIT)
+        a_prev = a[:, : i - 1].copy()
+        a[:, : i - 1] = a_prev - k[:, None] * a_prev[:, ::-1]
+        a[:, i - 1] = k
         err *= 1.0 - k * k
-    return a, max(err, 0.0)
+    a[silent] = 0.0
+    err = np.maximum(np.where(silent, rows[:, 0], err), 0.0)
+    if r.ndim == 1:
+        return a[0], float(err[0])
+    return a.reshape(*r.shape[:-1], order), err.reshape(r.shape[:-1])
 
 
 def inverse_filter(frame, coeffs, history) -> np.ndarray:
-    """Prediction error e[n] = x[n] - sum_k a_k x[n-k], history crossing the frame edge."""
+    """Prediction error e[n] = x[n] - sum_k a_k x[n-k], history crossing the
+    frame edge. Given contiguous frames (n_frames, frame_len) and one row of
+    coefficients each, every frame is filtered with its own, its history the
+    end of the frame before it (history itself for the first), as one FIR
+    over the whole signal."""
     a = np.asarray(coeffs, dtype=np.float64)
     h = np.asarray(history, dtype=np.float64)
     x = np.asarray(frame, dtype=np.float64)
-    p = a.size
+    p = a.shape[-1]
     if h.size != p:
         raise ValueError(f"history length {h.size} != order {p}")
-    ext = np.concatenate([h, x])
-    b = np.concatenate([[1.0], -a])
-    return np.convolve(ext, b)[p : p + x.size]
+    # e[n] = [x[n-p], ..., x[n]] . [-a_p, ..., -a_1, 1], each frame with its own taps
+    taps = np.concatenate([-a[..., ::-1], np.ones(a.shape[:-1] + (1,))], axis=-1)
+    windows = sliding_window_view(np.concatenate([h, x.reshape(-1)]), p + 1)
+    return _dots(windows.reshape(*x.shape, p + 1), taps[..., None, :])
 
 
 def synthesis_filter(residual_frame, coeffs, history) -> np.ndarray:
@@ -165,25 +184,18 @@ def synthesis_filter(residual_frame, coeffs, history) -> np.ndarray:
 def lpc_analyze(
     signal: AudioSignal, order: int = DEFAULT_ORDER, frame_len: int = DEFAULT_FRAME_LEN
 ) -> tuple[LpcTrack, AudioSignal]:
-    """Per-frame LPC analysis plus residual extraction.
+    """Per-frame LPC analysis plus residual extraction, every frame at once.
 
     Coefficients come from Hamming-windowed autocorrelation; the residual is
     the inverse filter applied to the raw (unwindowed) samples with history
     carried across frames. The residual spans the zero-padded signal length.
+    Its values have the bits of an analysis one frame at a time.
     """
     if not 1 <= order < frame_len:
         raise ValueError(f"LPC order must be in 1..{frame_len - 1}, got {order}")
     frames = frame_signal(signal.samples, frame_len).astype(np.float64)
-    window = np.hamming(frame_len)
-    coeffs = np.empty((len(frames), order))
-    gains = np.empty(len(frames))
-    residual = np.empty(frames.size)
-    history = np.zeros(order)
-    for i, frame in enumerate(frames):
-        r = autocorrelate(frame, order, window)
-        coeffs[i], gains[i] = levinson_durbin(r, order)
-        residual[i * frame_len : (i + 1) * frame_len] = inverse_filter(frame, coeffs[i], history)
-        history = frame[-order:]
+    coeffs, gains = levinson_durbin(autocorrelate(frames, order, np.hamming(frame_len)), order)
+    residual = inverse_filter(frames, coeffs, np.zeros(order)).reshape(-1)
     return LpcTrack(coeffs, gains, frame_len), AudioSignal(residual.astype(signal.samples.dtype))
 
 

@@ -357,9 +357,11 @@ def train_step(
     The G phase holds D frozen on its tapes (``Tape(constants=...)``): D's
     weights are normalised tape-less and backward computes no gradient for
     them, only the input gradients that reach G, whose bits do not depend on
-    it. G and D scale the residual they are conditioned on by their own
-    ``cond_scale``; in residual-target mode the L1 target and D's real
-    candidate are the residual as the batch holds it.
+    it. The batch enters both phases cast once to G's dtype, so a float64
+    model runs float64 throughout, whatever its corpus holds. G and D scale
+    the residual they are conditioned on by their own ``cond_scale``; in
+    residual-target mode the L1 target and D's real candidate are the
+    residual as the batch holds it.
     """
     g_params = G.parameters()
     d_params = D.parameters()
@@ -369,9 +371,10 @@ def train_step(
     m = seg // G.cfg.compression
     residual_target = config.target_mode == TARGET_RESIDUAL
     per = segments_per_forward(seg)
-    # the examples of each forward side by side: (count, speech, residual)
-    parts = [(len(p), np.concatenate([x for x, _ in p], axis=1),
-              np.concatenate([r for _, r in p], axis=1))
+    # the examples of each forward side by side, in the models' dtype:
+    # (count, speech, residual)
+    parts = [(len(p), np.concatenate([x for x, _ in p], axis=1).astype(G.dtype, copy=False),
+              np.concatenate([r for _, r in p], axis=1).astype(G.dtype, copy=False))
              for p in (batch[i : i + per] for i in range(0, len(batch), per))]
 
     # -- discriminator phase
@@ -401,7 +404,7 @@ def train_step(
     l1_mean = 0.0
     adv_mean = 0.0
     for n, speech, res in parts:
-        z = np.concatenate([NoiseBundle.draw(rng, nch, m, speech.dtype).base for _ in range(n)],
+        z = np.concatenate([NoiseBundle.draw(rng, nch, m, G.dtype).base for _ in range(n)],
                            axis=1)
         tape = Tape(constants=d_params)
         cond = tape.tensor(res, n)

@@ -51,6 +51,9 @@ def _op_checks(seed: int):
     # the time-axis ops and the reductions on three segments of 20
     xs = rng.normal(size=(3, 3 * 20))
     w4 = param("w4", 5, 3, 4)
+    # stride 3 with k not a multiple of it, so the last phase's taps are zero-filled
+    w5, b5 = param("w5", 4, 3, 5), param("b5", 4)
+    wt3, bt3 = param("wt3", 3, 2, 7), param("bt3", 2)
     sn_conv = nn.Conv1d(np.random.default_rng(seed + 2), "snc", 4, 3, 4, 2, (1, 1), "zero",
                         np.float64)
     sn_tconv = nn.TConv1d(np.random.default_rng(seed + 3), "snt", 4, 3, 6, 2, (2, 2), np.float64)
@@ -109,6 +112,12 @@ def _op_checks(seed: int):
          lambda tape: _l1(ad.conv1d(tape.tensor(xs, 3), w2, b2, 1, (3, 2), "reflect"))),
         ("tconv1d[stride 2, crop, S=3]", [wt, bt],
          lambda tape: _l1(ad.tconv1d(tape.tensor(xs, 3), wt, bt, stride=2, crop=(2, 2)))),
+        ("conv1d[zero pad, stride 3, k 5]", [w5, b5],
+         lambda tape: _l1(ad.conv1d(tape.tensor(x20), w5, b5, 3, (2, 1), "zero"))),
+        ("conv1d[reflect pad, stride 3, k 5, S=3]", [w5, b5],
+         lambda tape: _l1(ad.conv1d(tape.tensor(xs, 3), w5, b5, 3, (2, 3), "reflect"))),
+        ("tconv1d[stride 3, k 7, crop, S=3]", [wt3, bt3],
+         lambda tape: _l1(ad.tconv1d(tape.tensor(xs, 3), wt3, bt3, stride=3, crop=(1, 2)))),
         # reflect_pad and the reductions on three segments, behind a conv whose
         # weight gradient passes through their adjoints
         ("reflect_pad[S=3]", [w4, b], lambda tape: _l1(ad.tanh_(

@@ -226,6 +226,24 @@ def fft_error_factor(c, frame, k=None):
     return (2 * eps + kernel + np.sqrt(2) * gamma(c + 2)) * np.sqrt(frame)
 
 
+def fft_wgrad_bound(a, xp, k, segments):
+    """The bound above for _fft_wgrad(a, xp, k, segments), (R, c): per frame
+    of hop outputs, the forward's, with the sum over channels replaced by the
+    sum over every segment's frames (a frame's a zero-filled to FFT_FRAME
+    samples, its xp FFT_FRAME samples)."""
+    n = ad.FFT_FRAME
+    hop, t = n - k + 1, a.shape[1] // segments
+    frames = -(-(t + k - 1) // hop)
+    scale = 0.0
+    for gs, xs in zip(np.split(a.astype(np.float64), segments, axis=1),
+                      np.split(xp.astype(np.float64), segments, axis=1)):
+        a_frames = np.pad(gs, ((0, 0), (0, frames * hop - t))).reshape(len(gs), -1, hop)
+        x_frames = sliding_window_view(
+            np.pad(xs, ((0, 0), (0, (frames - 1) * hop + n - xs.shape[1]))), n, axis=1)[:, ::hop]
+        scale = scale + np.linalg.norm(a_frames, axis=2) @ np.linalg.norm(x_frames, axis=2).T
+    return fft_error_factor(segments * frames, n) * scale
+
+
 def window_norms(x, reach):
     """|x[c, i - reach .. i + reach]|_2 for every column i of x, zero outside x."""
     sq = np.pad(x.astype(np.float64) ** 2, ((0, 0), (reach + 1, reach)))
@@ -242,6 +260,7 @@ def at_fft(fn, frame=16, chunk=2):
         mp.setattr(ad, "FFT_MIN_COLUMNS", 0)
         mp.setattr(ad, "FFT_MIN_WGRAD_COLUMNS", 0)
         mp.setattr(ad, "FFT_MIN_TAPS", 1)
+        mp.setattr(ad, "FFT_MIN_CHANNELS", 1)
         mp.setattr(ad, "FFT_FRAME", frame)
         mp.setattr(ad, "FFT_CHUNK", chunk)
         mp.setattr(ad, "WGRAD_FRAMES", 3)
@@ -255,10 +274,11 @@ def im2col(x, k, stride):
 
 
 def fold(cols, stride, out_len):
-    """The engine's fold of a whole (C, k, T) taps array, as its stride phases."""
+    """The engine's fold of a whole (C, k, T) taps array, as its stride
+    phases, interleaved."""
     phases = np.zeros((cols.shape[0], stride, -(-out_len // stride)), cols.dtype)
     ad._fold_add(phases, cols, stride)
-    return ad._unphase(phases, out_len)
+    return np.swapaxes(phases, -1, -2).reshape(cols.shape[0], -1)[:, :out_len]
 
 
 def strided_scatter_add(cols, stride, out_len):
@@ -428,7 +448,9 @@ class TestIm2colBlocks:
         assert np.array_equal(ad._im2col_matmul(w, xp, 65, 1), w @ im2col(xp, 65, 1))
         x2 = rng.standard_normal((32, 8000), dtype=np.float32)
         w2 = rng.standard_normal((64, 32, 64), dtype=np.float32)
-        y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "FFT_MIN_COLUMNS", 10**9)  # at 4000 outputs it takes the FFT product
+            y = ad.conv1d(Tensor(x2), w2, stride=2, pad=(31, 31))
         ref = w2.reshape(64, -1) @ im2col(np.pad(x2, ((0, 0), (31, 31))), 64, 2)
         assert np.array_equal(y.data, ref)
 
@@ -535,16 +557,33 @@ class TestFftCorrelation:
         real = ad._fft_correlate
         monkeypatch.setattr(ad, "_fft_correlate", lambda *a: calls.append(a) or real(*a))
         k = ad.FFT_FRAME // 2 + 1
-        xp = rng.standard_normal((2, segments * (t_seg + k - 1)), dtype=np.float32)
-        y = ad._correlate(rng.standard_normal((3, 2 * k), dtype=np.float32), xp, k, segments)
-        assert y.shape == (3, segments * t_seg) and len(calls) == int(fft)
+        c = ad.FFT_MIN_CHANNELS
+        xp = rng.standard_normal((c, segments * (t_seg + k - 1)), dtype=np.float32)
+        y = ad._correlate(rng.standard_normal((c, c * k), dtype=np.float32), xp, k, segments)
+        assert y.shape == (c, segments * t_seg) and len(calls) == int(fft)
 
     @pytest.mark.parametrize("k, t_seg, fft", [(65, 49, False), (65, 50, True), (33, 98, False),
                                                (33, 99, True), (31, 10**4, False)])
     def test_size_rule_scales_with_taps(self, monkeypatch, k, t_seg, fft):
         # from FFT_MIN_COLUMNS outputs at 65 taps, from 65/k times as many at k taps
         monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 50)
-        assert ad._fft_pays(t_seg, k) == fft
+        c = ad.FFT_MIN_CHANNELS
+        assert ad._fft_pays(t_seg, k, c, c) == fft
+
+    @pytest.mark.parametrize("c_in, fft", [(1, False), (32, True)], ids=["down0", "down1"])
+    def test_size_rule_has_a_channel_floor(self, monkeypatch, rng, c_in, fft):
+        # the encoder's stride-2 convs at one 16000-sample segment: 32 taps a
+        # phase and thousands of outputs, but down0's phase stack has only 2
+        # channels, below FFT_MIN_CHANNELS
+        few, enough = ad.FFT_MIN_CHANNELS - 1, ad.FFT_MIN_CHANNELS
+        assert not ad._fft_pays(10**6, 65, few, enough) and not ad._fft_pays(10**6, 65, enough, few)
+        calls = []
+        real = ad._fft_correlate
+        monkeypatch.setattr(ad, "_fft_correlate", lambda *a: calls.append(a) or real(*a))
+        x = rng.standard_normal((c_in, 16000 >> (c_in > 1)), dtype=np.float32)
+        w = rng.standard_normal((64, c_in, 64), dtype=np.float32)
+        ad.conv1d(Tensor(x), w, None, 2, (31, 31), "reflect")
+        assert len(calls) == int(fft)
 
     @pytest.mark.parametrize("t_seg, segments, fft", [(33, 3, False), (25, 4, True), (100, 1, True)])
     def test_weight_gradient_rule_reads_all_columns(self, monkeypatch, rng, t_seg, segments, fft):
@@ -554,9 +593,10 @@ class TestFftCorrelation:
         real = ad._fft_wgrad
         monkeypatch.setattr(ad, "_fft_wgrad", lambda *a: calls.append(a) or real(*a))
         k = ad.FFT_FRAME // 2 + 1
-        a = rng.standard_normal((3, segments * t_seg), dtype=np.float32)
-        xp = rng.standard_normal((2, segments * (t_seg + k - 1)), dtype=np.float32)
-        assert ad._wgrad(a, xp, k, segments).shape == (3, 2 * k) and len(calls) == int(fft)
+        c = ad.FFT_MIN_CHANNELS
+        a = rng.standard_normal((c, segments * t_seg), dtype=np.float32)
+        xp = rng.standard_normal((c, segments * (t_seg + k - 1)), dtype=np.float32)
+        assert ad._wgrad(a, xp, k, segments).shape == (c, c * k) and len(calls) == int(fft)
 
     def test_wide_kernels_stay_on_im2col(self, monkeypatch, rng):
         monkeypatch.setattr(ad, "FFT_MIN_COLUMNS", 1)
@@ -632,8 +672,9 @@ class TestFftBackward:
              / np.sqrt(self.C * self.K)).astype(np.float32)
         g = rng.standard_normal((self.ROWS, self.S * self.T), dtype=np.float32)
         lp = self.T + self.K - 1
-        assert ad._fft_pays(self.T, self.K) and ad._fft_pays(lp, self.K)
-        assert ad._fft_pays(self.S * self.T, self.K, ad.FFT_MIN_WGRAD_COLUMNS)
+        assert ad._fft_pays(self.T, self.K, self.ROWS, self.C)
+        assert ad._fft_pays(lp, self.K, self.C, self.ROWS)
+        assert ad._fft_pays(self.S * self.T, self.K, self.ROWS, self.C, ad.FFT_MIN_WGRAD_COLUMNS)
         return xp, w, g
 
     def test_forward(self, case):
@@ -665,25 +706,13 @@ class TestFftBackward:
             assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
 
     def test_weight_gradients(self, case):
-        # per frame of hop outputs, the error bound of the forward with the sum
-        # over channels replaced by the sum over every segment's frames (a
-        # frame's a zero-filled to FFT_FRAME samples, its xp FFT_FRAME samples)
         xp, _, g = case
-        n, k = ad.FFT_FRAME, self.K
-        hop = n - k + 1
+        k = self.K
         gw = ad._wgrad(g, xp, k, self.S).reshape(self.ROWS, self.C, k)
-        frames = -(-(self.T + k - 1) // hop)
-        ref = np.zeros((self.ROWS, self.C * k))
-        scale = np.zeros((self.ROWS, self.C))
-        for gs, xs in zip(np.split(g.astype(np.float64), self.S, axis=1),
-                          np.split(xp.astype(np.float64), self.S, axis=1)):
-            ref += gs @ im2col(xs, k, 1).T
-            a_frames = np.pad(gs, ((0, 0), (0, frames * hop - self.T))).reshape(self.ROWS, -1, hop)
-            x_frames = sliding_window_view(
-                np.pad(xs, ((0, 0), (0, (frames - 1) * hop + n - xs.shape[1]))), n, axis=1)[:, ::hop]
-            scale += np.linalg.norm(a_frames, axis=2) @ np.linalg.norm(x_frames, axis=2).T
-        ref = ref.reshape(self.ROWS, self.C, k)
-        bound = fft_error_factor(self.S * frames, n) * scale[:, :, None]
+        ref = sum(gs @ im2col(xs, k, 1).T for gs, xs in zip(
+            np.split(g.astype(np.float64), self.S, axis=1),
+            np.split(xp.astype(np.float64), self.S, axis=1))).reshape(self.ROWS, self.C, k)
+        bound = fft_wgrad_bound(g, xp, k, self.S)[:, :, None]
         for name, rows in (("filter", slice(0, self.ROWS // 2)), ("gate", slice(self.ROWS // 2, None))):
             err = np.abs(gw[rows] - ref[rows])
             assert np.all(err <= bound[rows]), f"{name}: worst {np.max(err / bound[rows]):.3g} of the bound"
@@ -705,7 +734,7 @@ class TestFftBackward:
 
             def op(x, w):
                 return ad.conv1d(x, w, None, 1, (32, 32), "zero")
-        assert ad._fft_pays(800, 65) and ad._fft_pays(864, 65)
+        assert ad._fft_pays(800, 65, 32, 32) and ad._fft_pays(864, 65, 32, 32)
         x = rng.standard_normal((32, 3 * 800), dtype=np.float32)
         y, g_out, grads = taped_run(op, x, weights, 3, rng)
         per = [taped_run(op, x[:, i * 800 : (i + 1) * 800], weights, 1, g)
@@ -715,6 +744,113 @@ class TestFftBackward:
         for j in range(1, len(grads)):
             ref = sum(p[2][j] for p in per)
             assert np.max(np.abs(grads[j] - ref)) <= 1e-4 * np.max(np.abs(ref))
+
+
+class TestPhaseStack:
+    """Strided convs and transposed convs' backward at full size in float32
+    against float64 direct sums, within the bounds stated above U: on the
+    FFT product of their phase stacks, and on im2col."""
+
+    @staticmethod
+    def backward(op, x, weights, n_seg, g):
+        """op's output on x as n_seg taped segments, and its backward for the
+        output gradient g: the gradients w.r.t. x and each weight."""
+        params = [Parameter(f"w{i}", w) for i, w in enumerate(weights)]
+        tape = Tape()
+        xt = tape.tensor(x, n_seg)
+        y = op(xt, *params)
+        grads = dict(tape._records[-1][3](g))
+        return y.data, grads[xt.node_id], [grads[tape.leaf(p).node_id] for p in params]
+
+    @staticmethod
+    def stack(x, stride):
+        """The phase stack of x (c, L), L a multiple of stride: row c*stride + p
+        holds x[c, p::stride]."""
+        c, n = x.shape
+        return x.reshape(c, n // stride, stride).transpose(0, 2, 1).reshape(c * stride, -1)
+
+    def test_encoder_down1_forward(self, rng):
+        # G.enc.down1 (32 -> 64 channels, k 64, stride 2, reflect pad 31) at
+        # one 8000-sample segment: 64 phase channels of 32 taps, 4000
+        # outputs, on the FFT product
+        x = rng.standard_normal((32, 8000), dtype=np.float32)
+        w = (rng.standard_normal((64, 32, 64)) / np.sqrt(32 * 64)).astype(np.float32)
+        assert ad._fft_pays(4000, 32, 64, 64)
+        y = ad.conv1d(Tensor(x), w, None, 2, (31, 31), "reflect").data
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        ref, _ = conv_reference(x64, w64, np.zeros(64), 2, (31, 31), "reflect")
+        stack = self.stack(np.pad(x64, ((0, 0), (31, 31)), mode="reflect"), 2)  # (64, 4031)
+        w_norms = np.linalg.norm(self.stack(w64.reshape(-1, 64), 2).reshape(64, 64, 32), axis=2)
+        reach = ad.FFT_FRAME + 32  # about an output: its frame and its taps
+        bound = fft_error_factor(64, ad.FFT_FRAME, 32) * (
+            w_norms @ window_norms(stack, reach)[:, :4000])
+        err = np.abs(y - ref)
+        assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
+
+    def test_discriminator_layer1_backward(self, rng):
+        # D.layer1 (16 -> 16 channels, k 32, stride 2, zero pad 15) at 16
+        # segments of 800: its phase stack would have 16 taps, too few for
+        # the FFT product, so all on im2col; the weight gradient sums 16 x
+        # 400 columns
+        S, T, K = 16, 400, 32
+        x = rng.standard_normal((16, S * 800), dtype=np.float32)
+        w = (rng.standard_normal((16, 16, K)) / np.sqrt(16 * K)).astype(np.float32)
+        g = rng.standard_normal((16, S * T), dtype=np.float32)
+        assert not ad._fft_pays(S * T, K // 2, 16, 32, ad.FFT_MIN_WGRAD_COLUMNS)
+        y, gx, (gw,) = self.backward(lambda t, wp: ad.conv1d(t, wp, None, 2, (15, 15)), x, [w], S, g)
+        xp = np.pad(x.astype(np.float64).reshape(16, S, 800), ((0, 0), (0, 0), (15, 15)))
+        w64, g64 = w.astype(np.float64), g.astype(np.float64).reshape(16, S, T)
+        win = sliding_window_view(xp, K, axis=2)[:, :, ::2]  # (c, S, T, k)
+        ref_y = np.einsum("ocj,cstj->ost", w64, win).reshape(16, -1)
+        scale_y = np.einsum("ocj,cstj->ost", np.abs(w64), np.abs(win)).reshape(16, -1)
+        assert np.all(np.abs(y - ref_y) <= gamma(16 * K) * scale_y)
+        ref_gw = np.einsum("ost,cstj->ocj", g64, win)
+        scale_gw = np.einsum("ost,cstj->ocj", np.abs(g64), np.abs(win))
+        assert np.all(np.abs(gw - ref_gw) <= gamma(S * T) * scale_gw)
+        # the input gradient: each output sums 16 channels in the GEMM, then
+        # 16 taps in the fold
+        ref_gx = np.zeros((16, S, 830))
+        scale_gx = np.zeros((16, S, 830))
+        for j in range(K):
+            ref_gx[:, :, j : j + 2 * T - 1 : 2] += np.einsum("oc,ost->cst", w64[:, :, j], g64)
+            scale_gx[:, :, j : j + 2 * T - 1 : 2] += np.einsum(
+                "oc,ost->cst", np.abs(w64[:, :, j]), np.abs(g64))
+        err = np.abs(gx.reshape(16, S, 800) - ref_gx[:, :, 15:815])
+        assert np.all(err <= gamma(16 + K // 2) * scale_gx[:, :, 15:815])
+
+    def test_upsampler_stage3_tconv_backward(self, rng):
+        # G.up.stage3.tconv (64 -> 32 channels, k 66, stride 2, crop 32) at 8
+        # segments of 800 inputs: the output gradient's phase stack (64
+        # channels, 832 samples a segment) correlated with the 33 phase taps
+        # gives the input gradient, and the weight gradient over 6400
+        # columns; both on the FFT product
+        S, L, K = 8, 800, 66
+        x = rng.standard_normal((64, S * L), dtype=np.float32)
+        w = (rng.standard_normal((64, 32, K)) / np.sqrt(64 * 33)).astype(np.float32)
+        g = rng.standard_normal((32, S * 2 * L), dtype=np.float32)
+        assert ad._fft_pays(L, 33, 64, 64)
+        assert ad._fft_pays(S * L, 33, 64, 64, ad.FFT_MIN_WGRAD_COLUMNS)
+        _, gx, (gw,) = self.backward(lambda t, wp: ad.tconv1d(t, wp, None, 2, (32, 32)), x, [w], S, g)
+        x64, w64 = x.astype(np.float64).reshape(64, S, L), w.astype(np.float64)
+        graw = np.pad(g.astype(np.float64).reshape(32, S, 2 * L), ((0, 0), (0, 0), (32, 32)))
+        win = sliding_window_view(graw, K, axis=2)[:, :, ::2]  # (o, S, L, k): raw 2t .. 2t + 65
+        ref_gx = np.einsum("coj,ostj->cst", w64, win)
+        ref_gw = np.einsum("cst,ostj->coj", x64, win)
+        # the bounds of the phase-stacked problems, segment by segment
+        stacks = [self.stack(graw[:, s], 2) for s in range(S)]  # (64, 832)
+        w_ph = self.stack(w64.reshape(-1, K), 2).reshape(64, 64, 33)  # [c, o*2 + p, q]
+        w_norms = np.linalg.norm(w_ph, axis=2)
+        reach = ad.FFT_FRAME + 33
+        for s, gs in enumerate(stacks):
+            bound = fft_error_factor(64, ad.FFT_FRAME, 33) * (
+                w_norms @ window_norms(gs, reach)[:, :L])
+            err = np.abs(gx.reshape(64, S, L)[:, s] - ref_gx[:, s])
+            assert np.all(err <= bound), f"segment {s}: worst {np.max(err / bound):.3g} of the bound"
+        bound = fft_wgrad_bound(x, np.concatenate(stacks, axis=1), 33, S)  # (c, o*2 + p)
+        # to tap 2q + p of w[c, o]
+        bound = np.broadcast_to(bound.reshape(64, 32, 1, 2), (64, 32, 33, 2)).reshape(64, 32, K)
+        err = np.abs(gw - ref_gw)
+        assert np.all(err <= bound), f"worst {np.max(err / bound):.3g} of the bound"
 
 
 class TestTconv1d:

@@ -211,6 +211,73 @@ class TestLpcPipeline:
             lpc_analyze(AudioSignal(np.zeros(640)), order, 320)
 
 
+def lpc_analyze_per_frame(samples, order, frame_len):
+    """lpc_analyze as one frame at a time: the autocorrelation by a dot
+    product per lag, the scalar Levinson-Durbin recursion and the inverse
+    filter by convolution with the previous frame's tail. Also returns how
+    many reflection coefficients the clamp cut."""
+    frames = frame_signal(samples, frame_len).astype(np.float64)
+    window = np.hamming(frame_len)
+    coeffs, gains = np.zeros((len(frames), order)), np.zeros(len(frames))
+    residual = np.empty(frames.size)
+    history, clamped = np.zeros(order), 0
+    for i, frame in enumerate(frames):
+        x = frame * window
+        r = np.array([np.dot(x[: frame_len - k], x[k:]) for k in range(order + 1)])
+        if r[0] >= dsp.SILENCE_FLOOR:
+            err = r[0]
+            for j in range(1, order + 1):
+                k = (r[j] - np.dot(coeffs[i, : j - 1], r[j - 1 : 0 : -1])) / err
+                clamped += abs(k) > dsp.REFLECTION_LIMIT
+                k = min(max(k, -dsp.REFLECTION_LIMIT), dsp.REFLECTION_LIMIT)
+                prev = coeffs[i, : j - 1].copy()
+                coeffs[i, : j - 1] = prev - k * prev[::-1]
+                coeffs[i, j - 1] = k
+                err *= 1.0 - k * k
+            gains[i] = max(err, 0.0)
+        else:
+            gains[i] = max(r[0], 0.0)
+        b = np.concatenate([[1.0], -coeffs[i]])
+        residual[i * frame_len : (i + 1) * frame_len] = (
+            np.convolve(np.concatenate([history, frame]), b)[order : order + frame_len])
+        history = frame[-order:]
+    return coeffs, gains, residual, clamped
+
+
+class TestBatchedLpcAnalysis:
+    """lpc_analyze solves every frame at once; it must give the per-frame
+    loop's coefficients, gains and residual to 1e-12 of each one's peak."""
+
+    @staticmethod
+    def check(x, order=16, frame_len=320):
+        track, res = lpc_analyze(AudioSignal(x), order, frame_len)
+        coeffs, gains, residual, clamped = lpc_analyze_per_frame(x, order, frame_len)
+        for got, want in ((track.coeffs, coeffs), (track.gains, gains), (res.samples, residual)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return clamped
+
+    def test_speech_with_silent_frames(self, clip16k):
+        x = clip16k.astype(np.float64)
+        x[3200:4800] = 0.0  # five silent frames
+        x[9600:9920] = 1e-7  # one frame below the silence floor, not zero
+        assert self.check(x) == 0
+        track, _ = lpc_analyze(AudioSignal(x))
+        assert np.all(track.coeffs[10:15] == 0) and np.all(track.coeffs[30] == 0)
+
+    @pytest.mark.parametrize("order", [2, 16, 32])
+    def test_clamped_reflections(self, order, rng):
+        # low tones over a faint noise floor drive reflection coefficients
+        # past REFLECTION_LIMIT
+        t = np.arange(6400) / dsp.PIPELINE_RATE
+        x = 0.5 * np.sin(2 * np.pi * 60 * t) + 0.3 * np.sin(2 * np.pi * 130 * t)
+        x += 1e-6 * rng.normal(size=x.size)
+        assert self.check(x, order) > 0
+
+    def test_one_frame_and_odd_geometry(self, rng):
+        for order, frame_len, n in [(1, 2, 1), (5, 7, 50), (32, 33, 1000), (16, 320, 321)]:
+            self.check(rng.normal(size=n), order, frame_len)
+
+
 @st.composite
 def lpc_geometries(draw):
     """(order, frame_len, n): any order 1-32, any frame long enough for its

@@ -62,9 +62,11 @@ def test_close_passes_same_tree_and_fails_a_shifted_tap(tmp_path, capsys):
     shutil.copytree(src / "abas", planted / "abas", ignore=shutil.ignore_patterns("__pycache__"))
     autodiff = planted / "abas" / "autodiff.py"
     text = autodiff.read_text()
-    tap = "    w_phases[..., :k] = w_data\n"
+    # the transposed convs' forward taps shifted by one: tap j reads w[..., j - 1]
+    tap = "_phase_taps(w_mat, k, stride).reshape(c_in, c_out, stride, taps)"
     assert text.count(tap) == 1
-    autodiff.write_text(text.replace(tap, "    w_phases[..., 1:k] = w_data[..., :-1]\n"))
+    shifted = "np.pad(w_data[..., :-1], ((0, 0), (0, 0), (1, 0))).reshape(c_in, -1)"
+    autodiff.write_text(text.replace(tap, tap.replace("w_mat", shifted, 1)))
     mod = load_same_outputs()
     args = ["--ckpt", str(ckpt), "--close", "--work", str(tmp_path / "work")]
     assert mod.main([str(src), str(src), *args]) == 0

@@ -327,6 +327,38 @@ class TestTrainStep:
         for p in G.parameters() + D.parameters():
             assert p.grad is None, p.name
 
+    def test_float64_models_run_a_float32_batch_in_float64(self, monkeypatch):
+        """The batch is cast to the models' dtype once: every tensor on a G-phase
+        tape, the conditioning residual and the noise among them, and every
+        noise draw of the step are float64."""
+        cfg = self._cfg()
+        rngm = np.random.default_rng([3, 0])
+        G = Generator(GeneratorConfig.tiny(), rngm, np.float64)
+        D = Discriminator(DiscriminatorConfig.tiny(), rngm, np.float64)
+        og, od = T.AdamState(G.parameters()), T.AdamState(D.parameters())
+        *_, batches, rng, _, _ = tiny_setup(cfg)
+        batch = next(batches)
+        assert {a.dtype for example in batch for a in example} == {np.dtype(np.float32)}
+        g_phase, draws, real_draw = [], [], NoiseBundle.draw
+
+        class SpyTape(Tape):
+            def _new_node(self, data, segments=1):
+                t = super()._new_node(data, segments)
+                if self._constants:  # the G phase holds D constant
+                    g_phase.append(t.data.dtype)
+                return t
+
+        def draw_spy(rng, channels, m, dtype=np.float32):
+            bundle = real_draw(rng, channels, m, dtype)
+            draws.append(bundle.base.dtype)
+            return bundle
+
+        monkeypatch.setattr(T, "Tape", SpyTape)
+        monkeypatch.setattr(NoiseBundle, "draw", draw_spy)
+        T.train_step(batch, G, D, og, od, cfg, rng)
+        assert g_phase and set(g_phase) == {np.dtype(np.float64)}
+        assert len(draws) == 2 * len(batch) and set(draws) == {np.dtype(np.float64)}
+
     def test_g_phase_holds_d_constant(self, monkeypatch):
         """Adam's G step sees no D gradient, and G gradients with the bits of a
         G phase that has D on its tapes."""
