@@ -39,15 +39,16 @@ def _echo(command: str, resolved: dict):
 # commands
 
 
-def _at_least_1(*flags: tuple[str, int]):
-    """Reject a count or size flag below 1, naming it."""
+def _at_least(low: int, *flags: tuple[str, int]):
+    """Reject a count, size or seed flag below ``low``, naming it."""
     for flag, value in flags:
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def cmd_gen_corpus(args) -> int:
-    _at_least_1(("--n", args.n), ("--len", args.len))
+    _at_least(1, ("--n", args.n), ("--len", args.len))
+    _at_least(0, ("--seed", args.seed))
     _echo("gen-corpus", {"n": args.n, "len": args.len, "seed": args.seed, "out": args.out})
     paths = gen_synthetic_corpus(args.n, args.len, args.seed, args.out)
     print(f"wrote {len(paths)} clips to {args.out}")
@@ -91,6 +92,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_vocode(args) -> int:
+    _at_least(0, ("--seed", args.seed))
     ckpt = load_checkpoint(args.ckpt)
     config = ckpt.config
     _echo("vocode", {"ckpt": args.ckpt, "in": getattr(args, "in"), "out": args.out,
@@ -136,7 +138,7 @@ def cmd_cross_synth(args) -> int:
 
 
 def cmd_lpc(args) -> int:
-    _at_least_1(("--frame-ms", args.frame_ms))
+    _at_least(1, ("--frame-ms", args.frame_ms))
     _echo("lpc", {"in": getattr(args, "in"), "order": args.order,
                   "frame_ms": args.frame_ms, "emit": args.emit, "out": args.out})
     signal = read_wav(getattr(args, "in"))
@@ -174,6 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    _at_least(0, ("--seed", args.seed))
     _echo("grad-check", {"scope": args.scope, "seed": args.seed})
     results = gradient_suite(args.scope, args.seed)
     failed = 0

@@ -46,16 +46,29 @@ from .nn import (
     TConv1d,
 )
 
-# Samples per forward of generate_segments and per taped forward of a
-# training phase (at least one segment): the segments of one forward share
-# every GEMM, which at a short segment makes the GEMMs wide enough for every
-# BLAS thread, and no forward holds more than one at the recipe's 1 s segment.
+# Samples per taped forward of a training phase (at least one segment): the
+# segments of one forward share every GEMM, which at a short segment makes the
+# GEMMs wide enough for every BLAS thread, and no tape holds more than one
+# segment at the recipe's 1 s segment.
 FORWARD_SAMPLES = 16000
 
+# Samples per tape-less forward of generate_segments (at least one segment).
+# Each forward normalises every weight and builds its phase taps and FFT
+# kernel spectra once, so fewer forwards do that work fewer times. The budget
+# is set from memory: a tape-less forward's peak at it stays below that of one
+# taped forward plus backward at FORWARD_SAMPLES. tracemalloc peaks of the
+# default float32 G, tape-less, by segments of 16000 in one forward: 1: 21.7
+# MiB, 2: 30.8, 3: 45.7, 4: 60.6, 6: 90.4, 8: 120.2 (and 120.0-120.3 for the
+# same 128000 samples at segments of 528, 1600 and 8000); taped forward plus
+# backward of 16000 samples (1 x 16000 or 10 x 1600): 153.6 MiB.
+TAPELESS_FORWARD_SAMPLES = 8 * FORWARD_SAMPLES
 
-def segments_per_forward(segment_len: int) -> int:
-    """Segments of ``segment_len`` samples that one forward runs side by side."""
-    return max(1, FORWARD_SAMPLES // segment_len)
+
+def segments_per_forward(segment_len: int, taped: bool = True) -> int:
+    """Segments of ``segment_len`` samples that one forward, taped or not,
+    runs side by side."""
+    budget = FORWARD_SAMPLES if taped else TAPELESS_FORWARD_SAMPLES
+    return max(1, budget // segment_len)
 
 
 @dataclass(frozen=True)
@@ -265,8 +278,8 @@ class Generator(_Layered):
         """Generate over a residual of any length in ``segment_len`` pieces:
         zero-pad to whole segments, draw each segment's noise from ``rng`` in
         order, and trim the output to the residual's length. The segments run
-        side by side in tape-less forwards of up to FORWARD_SAMPLES samples;
-        each segment's output has the bits of a forward on it alone."""
+        side by side in tape-less forwards of up to TAPELESS_FORWARD_SAMPLES
+        samples; each segment's output has the bits of a forward on it alone."""
         n = len(residual)
         n_seg = -(-n // segment_len)
         padded = np.zeros(n_seg * segment_len, dtype=self.dtype)
@@ -274,7 +287,7 @@ class Generator(_Layered):
         out = np.empty_like(padded)
         m = segment_len // self.cfg.compression
         nch = self.cfg.noise_channels
-        per_forward = segments_per_forward(segment_len)
+        per_forward = segments_per_forward(segment_len, taped=False)
         for first in range(0, n_seg, per_forward):
             s = min(per_forward, n_seg - first)
             z = np.concatenate([NoiseBundle.draw(rng, nch, m, self.dtype).base for _ in range(s)],

@@ -54,6 +54,14 @@ class TestGenCorpus:
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc = cli.main(["gen-corpus", "--n", "1", "--len", "4000", "--seed", "-1",
+                       "--out", str(out)])
+        assert rc == 3
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLpc:
     def test_resynth_round_trip(self, corpus_dir, tmp_path):
@@ -355,6 +363,16 @@ class TestVocode:
                        "--out", str(tmp_path / "o.wav")])
         assert rc == 3
 
+    def test_negative_seed_exits_3_before_reading_the_checkpoint(self, corpus_dir, tmp_path,
+                                                                 capsys):
+        src = sorted(corpus_dir.glob("*.wav"))[0]
+        out = tmp_path / "o.wav"
+        rc = cli.main(["vocode", "--ckpt", str(tmp_path / "missing.ckpt"), "--in", str(src),
+                       "--out", str(out), "--seed", "-1"])
+        assert rc == 3
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradCheckCommand:
     def test_passes(self, capsys):
@@ -386,6 +404,13 @@ class TestGradCheckCommand:
         rc = cli.main(["grad-check", "--scope", "layer", "--seed", "0"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_exits_3(self, capsys):
+        rc = cli.main(["grad-check", "--scope", "layer", "--seed", "-1"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "--seed must be at least 0, got -1" in captured.err
+        assert "max rel err" not in captured.out
 
 
 class TestInspect:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abas import autodiff as ad
+from abas import model
 from abas import train as T
 from abas.autodiff import Parameter, Tape, Tensor
 from abas.model import (
@@ -169,11 +170,17 @@ class TestGenerate:
 
 
 class TestGenerateSegments:
-    @pytest.mark.parametrize("segment_len,n_seg,short", [
-        (1600, 1, 0), (1600, 4, 700), (1600, 10, 0), (1600, 23, 0), (528, 3, 0), (8000, 3, 0),
-    ], ids=["1", "4-padded", "10", "23", "3-at-528", "3-at-8000-fft"])
-    def test_equals_one_forward_per_segment(self, production, rng, segment_len, n_seg, short):
+    @pytest.mark.parametrize("segment_len,n_seg,short,budget", [
+        (1600, 1, 0, None), (1600, 4, 700, None), (1600, 10, 0, None), (1600, 23, 0, None),
+        (528, 3, 0, None), (8000, 3, 0, None), (1600, 4, 700, 4800), (8000, 3, 0, 16000),
+    ], ids=["1", "4-padded", "10", "23", "3-at-528", "3-at-8000-fft", "4-padded-in-3+1",
+            "3-at-8000-fft-in-2+1"])
+    def test_equals_one_forward_per_segment(self, production, rng, monkeypatch,
+                                            segment_len, n_seg, short, budget):
         G, _ = production
+        if budget is not None:  # a lower budget, so the segments span two forwards
+            monkeypatch.setattr(model, "TAPELESS_FORWARD_SAMPLES", budget)
+            assert model.segments_per_forward(segment_len, taped=False) < n_seg
         n = n_seg * segment_len - short
         residual = rng.standard_normal(n, dtype=np.float32)
         padded = np.zeros(n_seg * segment_len, np.float32)
@@ -188,11 +195,13 @@ class TestGenerateSegments:
         assert got.dtype == np.float32 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("segment_len,n,forwards", [
-        (1600, 37000, [10, 10, 4]), (16000, 48000, [1, 1, 1]), (528, 528 * 31, [30, 1]),
-    ])
-    def test_forwards_hold_at_most_one_second(self, production, monkeypatch,
-                                              segment_len, n, forwards):
+        (16000, 48000, [3]), (16000, 16000 * 9 + 7000, [8, 2]), (1600, 37000, [24]),
+        (1600, 1600 * 81 - 300, [80, 1]), (528, 528 * 243, [242, 1]),
+    ], ids=["3s-at-16000", "9.4s-at-16000", "37000-at-1600", "81-at-1600", "243-at-528"])
+    def test_forwards_hold_at_most_the_tapeless_budget(self, production, monkeypatch,
+                                                       segment_len, n, forwards):
         G, _ = production
+        assert model.TAPELESS_FORWARD_SAMPLES == 128000
         seen = []
 
         def spy(residual, noise):
@@ -203,6 +212,39 @@ class TestGenerateSegments:
         assert G.generate_segments(np.zeros(n, np.float32), segment_len,
                                    np.random.default_rng(0)).shape == (n,)
         assert seen == forwards
+
+    def test_tapeless_budget_peaks_below_one_taped_forward(self, production, rng):
+        # the memory rule behind TAPELESS_FORWARD_SAMPLES: a tape-less forward
+        # at the budget holds less than the taped forward plus backward that
+        # a training phase runs at FORWARD_SAMPLES
+        G, _ = production
+        seg, n = 16000, model.TAPELESS_FORWARD_SAMPLES // 16000
+        nch, m = G.cfg.noise_channels, seg // G.cfg.compression
+
+        def peak(run) -> float:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        def tapeless():
+            r = rng.standard_normal((1, n * seg), dtype=np.float32)
+            G.generate(Tensor(r, segments=n), NoiseBundle.draw(rng, nch, n * m))
+
+        def taped():
+            tape = Tape()
+            r = tape.tensor(rng.standard_normal((1, model.FORWARD_SAMPLES), dtype=np.float32))
+            y = G.generate(r, NoiseBundle.draw(rng, nch, model.FORWARD_SAMPLES // 16))
+            tape.backward(ad.batch_mean_(ad.abs_mean_(y)))
+
+        try:
+            budget, training = peak(tapeless), peak(taped)
+        finally:
+            for p in G.parameters():
+                p.zero_grad()
+        assert budget <= training, f"{budget:.1f} MiB tape-less against {training:.1f} MiB taped"
 
 
 class TestDiscriminator:

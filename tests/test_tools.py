@@ -68,12 +68,26 @@ def test_close_passes_same_tree_and_fails_a_shifted_tap(tmp_path, capsys):
     shifted = "np.pad(w_data[..., :-1], ((0, 0), (0, 0), (1, 0))).reshape(c_in, -1)"
     autodiff.write_text(text.replace(tap, tap.replace("w_mat", shifted, 1)))
     mod = load_same_outputs()
+    runs = {}  # (src, ckpt) -> a copy of its first run directory
+    real_run_side = mod.run_side
+
+    def run_side(side_src, run_dir, side_ckpt=None):  # the unchanged src tree runs once
+        key = (side_src, side_ckpt)
+        if key in runs:
+            shutil.copytree(runs[key], run_dir)
+            return
+        real_run_side(side_src, run_dir, side_ckpt)
+        runs[key] = tmp_path / "runs" / str(len(runs))
+        shutil.copytree(run_dir, runs[key])
+
+    mod.run_side = run_side
     args = ["--ckpt", str(ckpt), "--close", "--work", str(tmp_path / "work")]
     assert mod.main([str(src), str(src), *args]) == 0
     assert "byte-identical" in capsys.readouterr().out
     assert mod.main([str(src), str(planted), *args]) == 1
     out = capsys.readouterr().out
     assert "differs: vocoded_multi_raw.wav: relative RMS" in out
+    assert len(runs) == 2  # src and the planted tree, each run once
 
 
 def test_close_fails_a_shifted_tap_in_the_input_gradient(tmp_path, capsys):

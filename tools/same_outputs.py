@@ -14,7 +14,7 @@ echoes its arguments) are the same on both sides:
 - ``vocode`` with and without ``--skip-cross-synth``;
 - ``gen-corpus`` (1 clip of 37000 samples), and ``vocode`` of it with and
   without ``--skip-cross-synth``: 24 segments of 1600, the last one padded,
-  generated in three forwards (10, 10 and 4 segments);
+  generated side by side in one forward;
 - ``train --config`` with a JSON config file that sets ``lpc_order`` 12
   (4 steps), and ``vocode`` with that checkpoint;
 - ``gen-corpus`` (1 clip of 16000 samples), ``train`` on it at segment
@@ -132,8 +132,8 @@ GRAD_REL_L2 = 1e-8
 
 def vocode_steps(ckpt: str) -> list[tuple[str, list[str]]]:
     """Vocoding of a 5000- and a 37000-sample clip with ``ckpt``, with and
-    without cross synthesis; the second clip runs in three multi-segment
-    forwards at segment 1600."""
+    without cross synthesis; the second clip runs as several segments of
+    one forward (24 at segment 1600, 3 at 16000)."""
     clip = "corpus/clip_000.wav"
     return [
         ("vocode", ["vocode", "--ckpt", ckpt, "--in", clip, "--out", "vocoded.wav",
