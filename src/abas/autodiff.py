@@ -216,15 +216,19 @@ def _lift(tape: Tape | None, w) -> tuple[int, np.ndarray]:
     return -1, np.asarray(w)
 
 
+def _common_tape(a: Tensor, b: Tensor) -> Tape | None:
+    """The one tape, if any, of two operands of as many segments."""
+    if a.segments != b.segments:
+        raise ValueError(f"segment mismatch: {a.segments} vs {b.segments}")
+    if a.tape is not None and b.tape is not None and a.tape is not b.tape:
+        raise ValueError("mixing tensors from different tapes")
+    return a.tape if a.tape is not None else b.tape
+
+
 def _check_same(a: Tensor, b: Tensor) -> Tape | None:
     if a.data.shape != b.data.shape:
         raise ValueError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
-    if a.segments != b.segments:
-        raise ValueError(f"segment mismatch: {a.segments} vs {b.segments}")
-    tape = a.tape if a.tape is not None else b.tape
-    if a.tape is not None and b.tape is not None and a.tape is not b.tape:
-        raise ValueError("mixing tensors from different tapes")
-    return tape
+    return _common_tape(a, b)
 
 
 def _emit(tape: Tape | None, name: str, out, bwd, segments: int = 1) -> Tensor:
@@ -330,19 +334,21 @@ def _tanh_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # of phase p, zero past k), s*c channels of ceil(k/s) taps, and the stack's
 # adjoint (_phase_unstack) carries its gradients back. On im2col it keeps
 # its every s-th window, whose matrix is the phase stack's with its rows in
-# tap order, so each output sums as a direct strided sum does.
+# tap order, so each output sums as a direct strided sum does (the stack's
+# own im2col orders them by channel, phase, tap, which moves the bits).
 # conv1d, the gated conv and the transposed conv all call _correlate. A
-# transposed conv is stride correlations of its zero-padded input, one per
-# phase of its output (the kernel's taps p, p + stride, ...), stacked into one
-# weight matrix and interleaved (polyphase), so it needs no fold. A conv pads
-# inside itself (_pad, zero or reflect) and its tape keeps the unpadded input;
-# backward pads it again. The input gradient of a conv or gated conv (of its
-# phase stack, at stride > 1) is itself a correlation, of the output gradient
-# zero-padded by k - 1 with the flipped, transposed kernels
-# (_correlate_adjoint): where the size rule takes its outputs to the FFT
-# product it goes through _correlate, and otherwise the GEMM of the
-# transposed weights with the output gradient is folded back block by block,
-# with the stride (_matmul_fold). Then
+# conv pads inside itself (_pad, zero or reflect) and its tape keeps the
+# unpadded input; backward pads it again. A transposed correlation, the
+# adjoint of a strided one, runs on the phase stack (_transposed_phases):
+# phase output q of row c*s + p reads input columns q - ceil(k/s) + 1 .. q,
+# so the phase outputs are the stride-1 correlation of the zero-padded input
+# with the flipped, transposed phase taps, and _phase_unstack interleaves
+# them. That is a transposed conv's forward, over the phase outputs its crop
+# keeps, and the input gradient of a conv or gated conv (_correlate_adjoint)
+# where the size rule takes its outputs to the FFT product; otherwise the
+# GEMM of the transposed weights (taps zero-filled to whole phases) with the
+# output gradient is folded back block by block and phase by phase, with no
+# stride (_matmul_fold), through the same _phase_unstack. Then
 # the pad's adjoint (_unpad) applies. The weight gradient (_wgrad) is the FFT
 # product where the rule takes all its columns, of every segment, to it
 # (FFT_MIN_WGRAD_COLUMNS; _fft_wgrad: per bin, one complex GEMM of the output
@@ -417,13 +423,13 @@ def _phase_stack(xd: np.ndarray, segments: int, stride: int, length: int) -> np.
     return x.transpose(0, 3, 1, 2).reshape(-1, segments * length)
 
 
-def _phase_unstack(gs: np.ndarray, stride: int, n: int) -> np.ndarray:
+def _phase_unstack(gs: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of _phase_stack: the gradient (c, S, n) of a signal of n
-    samples a segment whose phase stack has the gradient gs (c*stride, S,
-    length); samples the stack does not reach get zero."""
-    cs, segments, length = gs.shape
-    g = gs.reshape(cs // stride, stride, segments, length).transpose(0, 2, 3, 1)
-    g = _join(g.reshape(cs // stride, segments, length * stride)[..., :n])
+    samples a segment whose phase stack has the gradient gs (c, stride, S,
+    length), gs[c, p] that of row c*stride + p; samples the stack does not
+    reach get zero."""
+    c, stride, segments, length = gs.shape
+    g = _join(gs.transpose(0, 2, 3, 1).reshape(c, segments, length * stride)[..., :n])
     return _split(_pad(g, segments, 0, max(0, n - length * stride)), segments)
 
 
@@ -434,20 +440,13 @@ def _phase_taps(w_mat: np.ndarray, k: int, stride: int) -> np.ndarray:
     return _phase_stack(w_mat.reshape(-1, k), 1, stride, -(-k // stride)).reshape(len(w_mat), -1)
 
 
-def _phase_taps_adjoint(gw: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """The gradient (R, c*k) of w_mat from that of its _phase_taps."""
-    return _phase_unstack(gw.reshape(-1, 1, -(-k // stride)), stride, k).reshape(len(gw), -1)
-
-
-def _fold_add(phases: np.ndarray, cols: np.ndarray, stride: int, first: int = 0):
-    """Scatter-add cols[c, k, ..., t] into out[c, ..., (first + t)*stride + k],
-    held as its stride phases: phases[c, ..., p, i] is out[c, ..., i*stride + p]
-    (the middle axes, if any, are segments). Each phase is one contiguous
-    row, and the taps are added in ascending order."""
+def _fold_add(out: np.ndarray, cols: np.ndarray, first: int = 0):
+    """Scatter-add cols[c, k, ..., t] into out[c, ..., first + t + k] (the
+    middle axes, if any, are phases and segments), the taps in ascending
+    order."""
     t = cols.shape[-1]
     for k in range(cols.shape[1]):
-        q, p = divmod(k, stride)
-        phases[..., p, first + q : first + q + t] += cols[:, k]
+        out[..., first + k : first + k + t] += cols[:, k]
 
 
 def _small(macs: int, cols: int) -> bool:
@@ -491,11 +490,11 @@ def _plan(macs: int, t_seg: int, segments: int, width: int | None = None) -> lis
 
 
 def _piece(block: np.ndarray, t_seg: int, t0: int, piece) -> np.ndarray:
-    """The part of a block buffer (c, k, width) that holds a piece of
-    _column_blocks, as (c, k, segments, columns)."""
+    """The part of a block buffer (c, k, ..., width) that holds a piece of
+    _column_blocks, as (c, k, ..., segments, columns)."""
     s0, s1, a, b = piece
     o = s0 * t_seg + a - t0
-    return block[:, :, o : o + (s1 - s0) * (b - a)].reshape(*block.shape[:2], s1 - s0, b - a)
+    return block[..., o : o + (s1 - s0) * (b - a)].reshape(*block.shape[:-1], s1 - s0, b - a)
 
 
 def _windows(xp: np.ndarray, k: int, stride: int, segments: int) -> np.ndarray:
@@ -548,8 +547,10 @@ def _correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1,
     (R, S*T), T outputs a segment. The blocked im2col product of xp's
     windows, or where the size rule (_fft_pays) takes the T outputs of xp's
     phase stack (stride*c channels of ceil(k/stride) taps) to it, the FFT
-    product of the stack. The rule reads only T, the taps, R and the
-    channels, so each segment's outputs have the bits of a call on it alone.
+    product of the stack (a transposed correlation calls it at stride 1 on
+    its own phase stack, _transposed_phases). The rule reads only T, the
+    taps, R and the channels, so each segment's outputs have the bits of a
+    call on it alone.
 
     Crossover, im2col (or fold) against FFT product, times faster (2 cores,
     2 BLAS threads, float32, medians of 15 calls), by outputs a segment T and
@@ -650,22 +651,38 @@ def _fft_correlate(w_mat: np.ndarray, xp: np.ndarray, k: int, segments: int = 1)
     return _join(y)
 
 
+def _transposed_phases(w_mat: np.ndarray, g: np.ndarray, k: int, q0: int, q1: int,
+                       segments: int = 1, stride: int = 1) -> np.ndarray:
+    """Phase outputs q0 .. q1 - 1 of the transposed correlation of g (R, S*T)
+    with w_mat (R, c*k) at stride, the adjoint of _correlate, as (c, stride,
+    S, q1 - q0), [c, p] those of the phase stack's row c*stride + p: the
+    stride-1 _correlate of g, zero-padded or cropped to the columns q - taps
+    + 1 .. q that phase output q reads, with the flipped, transposed phase
+    taps in rows p*c + c' (a float64 GEMM's sums hang on a row's place)."""
+    kq, t_seg, c = -(-k // stride), g.shape[1] // segments, w_mat.shape[1] // k
+    w_flip = _phase_taps(w_mat, k, stride).reshape(-1, c, stride, kq)[..., ::-1]
+    w_flip = w_flip.transpose(2, 1, 0, 3).reshape(stride * c, -1)
+    left, right = kq - 1 - q0, q1 - t_seg
+    g = _join(_split(g, segments)[..., max(0, -left) : t_seg - max(0, -right)])
+    y = _correlate(w_flip, _pad(g, segments, max(0, left), max(0, right)), kq, segments)
+    return y.reshape(stride, c, segments, q1 - q0).swapaxes(0, 1)
+
+
 def _correlate_adjoint(w_mat: np.ndarray, g: np.ndarray, k: int, out_len: int,
                        segments: int = 1, stride: int = 1) -> np.ndarray:
     """The input gradient (c, S, out_len) of _correlate(w_mat, xp, k,
-    segments, stride) for the output gradient g (R, S*T). That of xp's phase
-    stack is a correlation of g, zero-padded by taps - 1, with the flipped,
-    transposed phase taps (stride*c, R*taps): where the size rule takes its
-    outputs to the FFT product it goes through _correlate and back through
-    the stack; otherwise it is the GEMM of the transposed weights folded
-    back (_matmul_fold)."""
-    kq, cs = -(-k // stride), stride * (w_mat.shape[1] // k)
-    if _fft_pays(g.shape[1] // segments + kq - 1, kq, cs, w_mat.shape[0]):
-        w_mat, c, k = _phase_taps(w_mat, k, stride), cs, kq  # the phase stack's
-        w_flip = w_mat.reshape(-1, c, k)[:, :, ::-1].transpose(1, 0, 2).reshape(c, -1)
-        gs = _correlate(w_flip, _pad(g, segments, k - 1, k - 1), k, segments)
-        return _phase_unstack(_split(gs, segments), stride, out_len)
-    return _matmul_fold(w_mat.T, g, k, stride, out_len, segments)
+    segments, stride) for the output gradient g (R, S*T), through that of
+    xp's phase stack, its T + taps - 1 phase outputs: _transposed_phases
+    where the size rule takes them to the FFT product, and otherwise the
+    GEMM of the transposed weights, taps zero-filled to whole phases, folded
+    back phase by phase (_matmul_fold)."""
+    kq, t_seg, c = -(-k // stride), g.shape[1] // segments, w_mat.shape[1] // k
+    if _fft_pays(t_seg + kq - 1, kq, stride * c, w_mat.shape[0]):
+        gs = _transposed_phases(w_mat, g, k, 0, t_seg + kq - 1, segments, stride)
+    else:
+        w_t = _pad(w_mat, c, 0, kq * stride - k).T.reshape(c, kq, stride, -1)  # tap q*stride + p
+        gs = _matmul_fold(w_t, g, segments)
+    return _phase_unstack(gs, out_len)
 
 
 def _fft_wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1) -> np.ndarray:
@@ -728,7 +745,8 @@ def _wgrad(a: np.ndarray, xp: np.ndarray, k: int, segments: int = 1, stride: int
     if _fft_wgrad_pays(a, xp, k, stride):
         kq = -(-k // stride)
         xs = _phase_stack(xp, segments, stride, a.shape[1] // segments + kq - 1)
-        return _phase_taps_adjoint(_fft_wgrad(a, xs, kq, segments), k, stride)
+        gw = _fft_wgrad(a, xs, kq, segments)  # the phase taps', back through _phase_taps' adjoint
+        return _phase_unstack(gw.reshape(-1, stride, 1, kq), k).reshape(len(a), -1)
     return _im2col_wgrad(a, xp, k, stride, segments)[0]
 
 
@@ -772,34 +790,32 @@ def _im2col_wgrad(a: np.ndarray, xp: np.ndarray, k: int, stride: int, segments: 
     return gw, y
 
 
-def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, k: int, stride: int, out_len: int,
-                 segments: int = 1) -> np.ndarray:
-    """w_t @ xd, (C*k, S*L) taps, folded with stride into (C, S, out_len): tap j
-    of input column t adds to output t*stride + j of its segment. That is the
-    input gradient of a strided conv, and of a stride-1 conv or gated conv
-    whose outputs the size rule keeps off the FFT product (see
-    _correlate_adjoint): the adjoint of im2col. The GEMM
-    runs one block of _plan at a time, so the taps of a
-    whole 1 s signal never exist at once; where an IM2COL_BLOCK-wide block
-    would be small, the plan's blocks are whole segments. Blocks run last
-    first: an output adds its taps in ascending order, and later inputs hold
-    its lower taps, so every output sums in the order of one strided
-    scatter-add of the whole product, tap after tap."""
+def _matmul_fold(w_t: np.ndarray, xd: np.ndarray, segments: int = 1) -> np.ndarray:
+    """w_t (c, k, ..., R) @ xd (R, S*T), taps [c, j, ...] of each column,
+    folded into (c, ..., S, T + k - 1): tap j of input column t adds to
+    output t + j of its segment, the adjoint of stride-1 im2col. That is the
+    input gradient of a phase stack (the middle axis is its phases), and so
+    of a conv or gated conv whose outputs the size rule keeps off the FFT
+    product (see _correlate_adjoint). The GEMM runs one block of _plan at a
+    time, so the taps of a whole 1 s signal never exist at once; where an
+    IM2COL_BLOCK-wide block would be small, the plan's blocks are whole
+    segments. Blocks run last first: an output adds its taps in ascending
+    order, and later inputs hold its lower taps, so every output sums in the
+    order of one scatter-add of the whole product, tap after tap."""
     t_seg = xd.shape[1] // segments
-    whole = _small(w_t.size, IM2COL_BLOCK)
-    blocks = _plan(w_t.size, t_seg, segments, t_seg if whole else None)
-    c = w_t.shape[0] // k
+    c, k, *mid = w_t.shape[:-1]
+    w2 = w_t.reshape(-1, w_t.shape[-1])
+    blocks = _plan(w2.size, t_seg, segments, t_seg if _small(w2.size, IM2COL_BLOCK) else None)
     dtype = np.result_type(w_t, xd)
-    phases = np.zeros((c, segments, stride, -(-out_len // stride)), dtype)
-    buf = np.empty((c, k, blocks[-1][1] - blocks[-1][0]), dtype)  # the last is the widest
-    cols = buf.reshape(c * k, -1)
+    out = np.zeros((c, *mid, segments, t_seg + k - 1), dtype)
+    buf = np.empty((c, k, *mid, blocks[-1][1] - blocks[-1][0]), dtype)  # the last is the widest
+    cols = buf.reshape(len(w2), -1)
     for t0, t1, pieces in reversed(blocks):
-        np.matmul(w_t, xd[:, t0:t1], out=cols[:, : t1 - t0])
+        np.matmul(w2, xd[:, t0:t1], out=cols[:, : t1 - t0])
         for piece in pieces:
             s0, s1, a, _ = piece
-            _fold_add(phases[:, s0:s1], _piece(buf, t_seg, t0, piece), stride, a)
-    del buf, cols  # before the phases are interleaved
-    return np.swapaxes(phases, -1, -2).reshape(c, segments, -1)[..., :out_len]
+            _fold_add(out[..., s0:s1, :], _piece(buf, t_seg, t0, piece), a)
+    return out
 
 
 def _check_stride(stride: int):
@@ -901,17 +917,16 @@ def tconv1d(
     weight is (in_channels, out_channels, k); the raw output of length
     (length - 1) * stride + k loses ``crop`` samples from each side.
 
-    The forward pass is polyphase: output n = q*stride + p is the stride-1
-    correlation, at q, of the zero-padded input with phase p of the kernel,
-    its taps p, p + stride, ... in reverse order, zero-filled to a whole
-    ceil(k / stride) taps. The phases' weights are stacked into one
-    (stride*c_out, c_in*ceil(k / stride)) matrix, so one _correlate computes
-    them all, and their rows are interleaved into the output. Only the
-    outputs that survive the crop are computed. Backward is the
-    stride-``stride`` correlation of the zero-padded output gradient with
-    the kernel, and the weight gradient against it (_wgrad_correlate):
-    their im2col lowering, or where the size rule takes them to the FFT
-    product, that of the gradient's phase stack.
+    The forward pass is the input gradient of a stride-``stride`` conv with
+    these weights, on its phase stack (_transposed_phases): raw output
+    q*stride + p of channel o is phase output q of row o*stride + p, the
+    stride-1 correlation of the zero-padded input with the kernel's taps p,
+    p + stride, ... in reverse order. One _correlate computes the phase
+    outputs that survive the crop, and _phase_unstack interleaves them.
+    Backward is the stride-``stride`` correlation of the zero-padded output
+    gradient with the kernel, and the weight gradient against it
+    (_wgrad_correlate): their im2col lowering, or where the size rule takes
+    them to the FFT product, that of the gradient's phase stack.
     """
     _check_stride(stride)
     tape = x.tape
@@ -927,20 +942,13 @@ def tconv1d(
     cl, cr = crop
     if cl < 0 or cr < 0 or cl + cr >= raw:
         raise ValueError(f"crop {crop} exceeds raw output length {raw}")
-    taps = -(-k // stride)
     w_mat = w_data.reshape(c_in, c_out * k)
-    w_ph = _phase_taps(w_mat, k, stride).reshape(c_in, c_out, stride, taps)
-    # row p*c_out + o, column c*taps + j: tap (taps - 1 - j)*stride + p of w[c, o]
-    w_phases = w_ph[..., ::-1].transpose(2, 1, 0, 3).reshape(stride * c_out, c_in * taps)
-    # phase outputs q0 .. q1 - 1 hold the kept raw outputs; output q of a phase
-    # reads input samples q - taps + 1 .. q, zero outside the segment
+    # phase outputs q0 .. q1 - 1 hold the kept raw outputs
     q0, q1 = cl // stride, -(-(raw - cr) // stride)
-    left, right = taps - 1 - q0, q1 - length
-    xs = _join(_split(xd, n_seg)[..., max(0, -left) : length - max(0, -right)])
-    y = _correlate(w_phases, _pad(xs, n_seg, max(0, left), max(0, right)), taps, n_seg)
-    y = y.reshape(stride, c_out, n_seg, q1 - q0).transpose(1, 2, 3, 0)
+    y = _phase_unstack(_transposed_phases(w_mat, xd, k, q0, q1, n_seg, stride),
+                       (q1 - q0) * stride)
     first = cl - q0 * stride
-    y = _join(y.reshape(c_out, n_seg, -1)[..., first : first + raw - cl - cr])
+    y = _join(y[..., first : first + raw - cl - cr])
     if b_data is not None:
         y += b_data.reshape(-1, 1)
 
@@ -1155,11 +1163,7 @@ def sub_(a: Tensor, b: Tensor) -> Tensor:
 def concat_channels_(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[1]:
         raise ValueError(f"length mismatch: {a.data.shape[1]} vs {b.data.shape[1]}")
-    if a.segments != b.segments:
-        raise ValueError(f"segment mismatch: {a.segments} vs {b.segments}")
-    tape = a.tape if a.tape is not None else b.tape
-    if a.tape is not None and b.tape is not None and a.tape is not b.tape:
-        raise ValueError("mixing tensors from different tapes")
+    tape = _common_tape(a, b)
     ca = a.data.shape[0]
     y = np.concatenate([a.data, b.data])
     a_id, b_id = a.node_id, b.node_id

@@ -35,26 +35,21 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return xa, xb
 
 
-def ssnr(
-    reference,
-    degraded,
-    frame_len: int = SSNR_FRAME_LEN,
-    clamp_db: tuple[float, float] = SSNR_CLAMP_DB,
-) -> float:
+def ssnr(reference, degraded) -> float:
     """Mean over active frames of clamped per-frame SNR in dB.
 
     Frames with reference energy <= 1e-8 are skipped; zero-noise frames take
     the clamp ceiling.
     """
     x, y = _pair(reference, degraded)
-    lo, hi = clamp_db
+    lo, hi = SSNR_CLAMP_DB
     vals = []
-    for start in range(0, len(x) - frame_len + 1, frame_len):
-        xf = x[start : start + frame_len]
+    for start in range(0, len(x) - SSNR_FRAME_LEN + 1, SSNR_FRAME_LEN):
+        xf = x[start : start + SSNR_FRAME_LEN]
         ex = float(np.sum(xf * xf))
         if ex <= SSNR_SILENCE:
             continue
-        d = xf - y[start : start + frame_len]
+        d = xf - y[start : start + SSNR_FRAME_LEN]
         en = float(np.sum(d * d))
         if en == 0.0:
             vals.append(hi)
@@ -71,16 +66,16 @@ def l1_distance(a, b) -> float:
     return float(np.mean(np.abs(xa - xb)))
 
 
-def log_spectral_distance(a, b, fft_size: int = LSD_FFT, hop: int = LSD_HOP) -> float:
+def log_spectral_distance(a, b) -> float:
     """RMS over frames of the RMS over bins of 20*(log10|A| - log10|B|), in dB."""
     xa, xb = _pair(a, b)
-    if len(xa) < fft_size:
-        raise ValueError(f"signals shorter than one FFT frame ({len(xa)} < {fft_size})")
-    win = np.hanning(fft_size)
+    if len(xa) < LSD_FFT:
+        raise ValueError(f"signals shorter than one FFT frame ({len(xa)} < {LSD_FFT})")
+    win = np.hanning(LSD_FFT)
     frame_vals = []
-    for start in range(0, len(xa) - fft_size + 1, hop):
-        sa = np.maximum(np.abs(np.fft.rfft(xa[start : start + fft_size] * win)), LSD_FLOOR)
-        sb = np.maximum(np.abs(np.fft.rfft(xb[start : start + fft_size] * win)), LSD_FLOOR)
+    for start in range(0, len(xa) - LSD_FFT + 1, LSD_HOP):
+        sa = np.maximum(np.abs(np.fft.rfft(xa[start : start + LSD_FFT] * win)), LSD_FLOOR)
+        sb = np.maximum(np.abs(np.fft.rfft(xb[start : start + LSD_FFT] * win)), LSD_FLOOR)
         d = 20.0 * (np.log10(sa) - np.log10(sb))
         frame_vals.append(np.mean(d * d))
     return float(np.sqrt(np.mean(frame_vals)))

@@ -274,11 +274,15 @@ def im2col(x, k, stride):
 
 
 def fold(cols, stride, out_len):
-    """The engine's fold of a whole (C, k, T) taps array, as its stride
-    phases, interleaved."""
-    phases = np.zeros((cols.shape[0], stride, -(-out_len // stride)), cols.dtype)
-    ad._fold_add(phases, cols, stride)
-    return np.swapaxes(phases, -1, -2).reshape(cols.shape[0], -1)[:, :out_len]
+    """The engine's strided fold of a whole (C, k, T) taps array: tap
+    q*stride + p, zero past k, is tap q of phase p of a stride-1 fold, and
+    the phase stack's adjoint interleaves the phases."""
+    c, k, t = cols.shape
+    kq = -(-k // stride)
+    taps = np.pad(cols, ((0, 0), (0, kq * stride - k), (0, 0))).reshape(c, kq, stride, t)
+    out = np.zeros((c, stride, t + kq - 1), cols.dtype)
+    ad._fold_add(out, taps)
+    return ad._phase_unstack(out[:, :, None], out_len)[:, 0]
 
 
 def strided_scatter_add(cols, stride, out_len):

@@ -63,7 +63,7 @@ def test_close_passes_same_tree_and_fails_a_shifted_tap(tmp_path, capsys):
     autodiff = planted / "abas" / "autodiff.py"
     text = autodiff.read_text()
     # the transposed convs' forward taps shifted by one: tap j reads w[..., j - 1]
-    tap = "_phase_taps(w_mat, k, stride).reshape(c_in, c_out, stride, taps)"
+    tap = "_transposed_phases(w_mat, xd, k, q0, q1, n_seg, stride)"
     assert text.count(tap) == 1
     shifted = "np.pad(w_data[..., :-1], ((0, 0), (0, 0), (1, 0))).reshape(c_in, -1)"
     autodiff.write_text(text.replace(tap, tap.replace("w_mat", shifted, 1)))
@@ -104,9 +104,10 @@ def test_close_fails_a_shifted_tap_in_the_input_gradient(tmp_path, capsys):
     shutil.copytree(src / "abas", planted / "abas", ignore=shutil.ignore_patterns("__pycache__"))
     autodiff = planted / "abas" / "autodiff.py"
     text = autodiff.read_text()
-    flip = "w_mat.reshape(-1, c, k)[:, :, ::-1]"
-    assert text.count(flip) == 1
-    autodiff.write_text(text.replace(flip, f"np.roll({flip}, 1, axis=2)"))
+    call = "_transposed_phases(w_mat, g, k, 0, t_seg + kq - 1, segments, stride)"
+    assert text.count(call) == 1
+    shifted = "np.roll(w_mat.reshape(len(w_mat), -1, k), 1, axis=2).reshape(len(w_mat), -1)"
+    autodiff.write_text(text.replace(call, call.replace("w_mat", shifted, 1)))
     mod = load_same_outputs()
     args = ["--ckpt", str(ckpt), "--close", "--work", str(tmp_path / "work")]
     assert mod.main([str(src), str(planted), *args]) == 1

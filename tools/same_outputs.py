@@ -15,6 +15,10 @@ echoes its arguments) are the same on both sides:
 - ``gen-corpus`` (1 clip of 37000 samples), and ``vocode`` of it with and
   without ``--skip-cross-synth``: 24 segments of 1600, the last one padded,
   generated side by side in one forward;
+- ``gen-corpus`` (1 clip of 130000 samples), and ``vocode`` of it: 82
+  segments of 1600, more than one tape-less forward holds, so they run as
+  forwards of 80 and 2 and a wrong noise draw or offset between forwards
+  shows;
 - ``train --config`` with a JSON config file that sets ``lpc_order`` 12
   (4 steps), and ``vocode`` with that checkpoint;
 - ``gen-corpus`` (1 clip of 16000 samples), ``train`` on it at segment
@@ -95,7 +99,11 @@ GIVEN_CKPT = "given.ckpt"  # where --ckpt FILE is copied in the run dir
 # metrics line (segmental SNR, L1 and log-spectral distance, means over the
 # clip, printed to 6 digits) moved by less than its last digit. A kernel tap
 # off by one in the transposed convs reads 1.4 relative RMS, thousands of
-# steps, and metrics 0.7-2.5% apart.
+# steps, and metrics 0.7-2.5% apart. The bounds do not cover a rounding
+# change before the decoder on a trained checkpoint: there it grows about
+# 2.5x per gated decoder layer, and on a 4-step desk checkpoint it read
+# 1.6-3.6e-4 relative RMS and 8-119 PCM16 steps. Check such a change with a
+# fresh or 1-step checkpoint.
 WAV_MAX_LSB = 1
 WAV_REL_RMS = 1e-4
 METRIC_REL = 1e-4
@@ -170,6 +178,10 @@ def scenario(given: bool = False) -> list[tuple[str, list[str]]]:
         ("resume", ["train", "--corpus", "corpus", "--out", "resume", "--steps", "4",
                     "--resume", "train_softmax_speech/step_2.ckpt", *TRAIN]),
         *vocode_steps(ckpt),
+        ("gen_corpus_130k", ["gen-corpus", "--n", "1", "--len", "130000", "--seed", "0",
+                             "--out", "corpus130k"]),
+        ("vocode_130k", ["vocode", "--ckpt", ckpt, "--in", "corpus130k/clip_000.wav",
+                         "--out", "vocoded_130k.wav", "--seed", "1"]),
         ("train_order12", ["train", "--config", CONFIG_FILE, "--corpus", "corpus",
                            "--out", "train_order12", "--steps", "4", *TRAIN]),
         ("vocode_order12", ["vocode", "--ckpt", "train_order12/final.ckpt", "--in", clip,
